@@ -44,24 +44,53 @@ class SpectralDecomposition:
         return (u * self.eigenvalues[:k]) @ u.T
 
 
-def symmetric_eig(a: np.ndarray) -> SpectralDecomposition:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Rotations sweep the upper triangle until every off-diagonal magnitude
-    drops below 1e-12; each rotation zeroes one entry and preserves
-    symmetry, so the diagonal converges to the eigenvalues while the
-    accumulated rotations form the eigenvector columns.
-    """
+def _check_symmetric(a: np.ndarray, where: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     m = a.shape[0]
     if a.shape != (m, m):
-        raise ContractError("symmetric_eig: input must be square")
+        raise ContractError(f"{where}: input must be square")
     if m and np.max(np.abs(a - a.T)) > _OFFDIAG_TOL:
-        raise ContractError("symmetric_eig: input is not symmetric")
+        raise ContractError(f"{where}: input is not symmetric")
+    return a
 
+
+def _round_robin(m: int) -> list:
+    """Round-robin schedule of the pairs (p, q), p < q, of m indices.
+
+    Each round holds disjoint pairs, and every pair meets once over the
+    rounds: m - 1 rounds for even m; for odd m a dummy index m pads the
+    ring and its partner sits the round out.
+    """
+    size = m + m % 2
+    ring = np.arange(size)
+    rounds = []
+    for _ in range(size - 1):
+        a, b = ring[:size // 2], ring[size // 2:][::-1]
+        real = (a < m) & (b < m)
+        rounds.append((np.minimum(a, b)[real], np.maximum(a, b)[real]))
+        ring = np.concatenate([ring[:1], ring[-1:], ring[1:-1]])
+    return rounds
+
+
+def symmetric_eig(a: np.ndarray) -> SpectralDecomposition:
+    """Round-robin Jacobi eigendecomposition of a symmetric matrix.
+
+    Each sweep visits every off-diagonal pair once, in rounds of disjoint
+    (p, q) pairs (the parallel ordering of Brent and Luk): rotations in a
+    round touch different rows and columns, so their angles all follow
+    from the matrix at the start of the round and they apply together as
+    one row update, one column update and one eigenvector update.  Sweeps
+    repeat until every off-diagonal magnitude drops below 1e-12; the
+    diagonal then holds the eigenvalues and the accumulated rotations the
+    eigenvector columns.
+    """
+    a = _check_symmetric(a, "symmetric_eig")
+    m = a.shape[0]
     work = 0.5 * (a + a.T)
-    vecs = np.eye(m)
+    vecs_t = np.eye(m)  # eigenvectors as rows, so updates touch contiguous rows
     off_mask = ~np.eye(m, dtype=bool)
+    skip = _OFFDIAG_TOL / (10 * max(m, 1))
+    schedule = _round_robin(m)
 
     def max_offdiag():
         return np.max(np.abs(work[off_mask])) if m > 1 else 0.0
@@ -69,24 +98,27 @@ def symmetric_eig(a: np.ndarray) -> SpectralDecomposition:
     for _ in range(_MAX_SWEEPS):
         if max_offdiag() < _OFFDIAG_TOL:
             break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = work[p, q]
-                if abs(apq) < _OFFDIAG_TOL / (10 * m):
+        for p, q in schedule:
+            apq = work[p, q]
+            live = np.abs(apq) >= skip
+            if not live.all():
+                p, q, apq = p[live], q[live], apq[live]
+                if not len(p):
                     continue
-                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = work[p, :].copy(), work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                col_p, col_q = work[:, p].copy(), work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                vec_p, vec_q = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
+            theta = (work[q, q] - work[p, p]) / (2.0 * apq)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            cr, sr = c[:, None], s[:, None]
+            row_p, row_q = work[p], work[q]
+            work[p] = cr * row_p - sr * row_q
+            work[q] = sr * row_p + cr * row_q
+            col_p, col_q = work[:, p], work[:, q]
+            work[:, p] = c * col_p - s * col_q
+            work[:, q] = s * col_p + c * col_q
+            vec_p, vec_q = vecs_t[p], vecs_t[q]
+            vecs_t[p] = cr * vec_p - sr * vec_q
+            vecs_t[q] = sr * vec_p + cr * vec_q
     else:
         residual = max_offdiag()
         if residual >= _OFFDIAG_TOL:
@@ -95,15 +127,24 @@ def symmetric_eig(a: np.ndarray) -> SpectralDecomposition:
 
     values = np.diag(work).copy()
     order = np.argsort(-np.abs(values), kind="stable")
-    return SpectralDecomposition(values[order], vecs[:, order])
+    return SpectralDecomposition(values[order], vecs_t[order].T)
 
 
 def usvt_with_rank(a: np.ndarray, tau: float):
     """Thresholded spectral estimate of the edge-probability matrix and the
-    number of spectral components kept."""
+    number of spectral components kept.
+
+    Every |eigenvalue| is at most the largest absolute row sum, so when
+    that sum is below tau*sqrt(m) no component can be kept and the
+    decomposition is skipped.
+    """
+    a = _check_symmetric(a, "usvt_with_rank")
     m = a.shape[0]
+    threshold = tau * math.sqrt(m)
+    if m and np.abs(a).sum(axis=1).max() < threshold:
+        return np.zeros((m, m)), 0
     dec = symmetric_eig(a)
-    kept = np.abs(dec.eigenvalues) >= tau * math.sqrt(m)
+    kept = np.abs(dec.eigenvalues) >= threshold
     u = dec.eigenvectors[:, kept]
     theta = (u * dec.eigenvalues[kept]) @ u.T
     theta = np.clip(theta, 0.0, 1.0)

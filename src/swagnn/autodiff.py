@@ -5,8 +5,9 @@ output node; ``backward`` replays the recorded graph once in reverse
 topological order.  The primitive set is intentionally small: matrix
 multiplication, (broadcast) addition, elementwise multiplication, scalar
 scaling, sigmoid, relu, transpose, concatenation/stacking, trace of a
-matrix product, row softmax, log, sum/mean reductions, row-wise L2
-normalization and stop-gradient.  All arithmetic is double precision.
+matrix product, row softmax and log-softmax, log, sum/mean reductions,
+row-wise L2 normalization and stop-gradient.  All arithmetic is double
+precision.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, TapeError
+
+_TINY = np.finfo(np.float64).tiny
 
 
 class Tensor:
@@ -340,6 +343,31 @@ def row_softmax(a: Tensor) -> Tensor:
         _accumulate(a, out_data * (g - inner))
 
     return _node(out_data, (a,), vjp, "row_softmax")
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    """Row-wise log-softmax that stays finite wherever the logits are.
+
+    An entry whose probability is a normal float gets ``log`` of the
+    ``row_softmax`` probability, bit for bit; an entry so far below its
+    row maximum that the probability underflows gets the shifted
+    log-sum-exp, which keeps the gap instead of returning log(0).
+    """
+    a = _as_tensor(a)
+    if a.data.ndim != 2:
+        raise ContractError(f"log_softmax: expected a matrix, got shape {a.data.shape}")
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    probs = e / total
+    normal = probs >= _TINY
+    out_data = np.where(normal, np.log(np.where(normal, probs, 1.0)),
+                        shifted - np.log(total))
+
+    def vjp(g):
+        _accumulate(a, g - probs * g.sum(axis=1, keepdims=True))
+
+    return _node(out_data, (a,), vjp, "log_softmax")
 
 
 def log(a: Tensor) -> Tensor:

@@ -323,7 +323,9 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> list:
         test, val, train = [], [], []
         for c in by_class:
             test.extend(chunks[c][f].tolist())
-            rest = np.concatenate([chunks[c][j] for j in range(k) if j != f])
+            # starting at the next chunk spreads validation over the chunks,
+            # so no graph is held out of training in every fold
+            rest = np.concatenate([chunks[c][(f + j) % k] for j in range(1, k)])
             n_val = max(1, math.ceil(0.1 * len(rest)))
             n_val = min(n_val, len(rest) - 1) if len(rest) >= 2 else 0
             val.extend(rest[:n_val].tolist())

@@ -124,13 +124,11 @@ def make_ssl_batch(graphs: list, augmenter, params: SwagParams, cfg: KernelConfi
 def infonce_from_similarities(sim: Tensor, literal: bool = False) -> Tensor:
     """Mean negative log-probability of each diagonal entry under a row
     softmax.  ``literal`` returns the mean probability itself instead."""
-    b = sim.data.shape[0]
-    probs = ad.row_softmax(sim)
-    eye = ad.constant(np.eye(b))
-    diag = ad.reduce_sum(probs * eye, axis=1)
+    eye = ad.constant(np.eye(sim.data.shape[0]))
     if literal:
-        return diag.mean()
-    return ad.scale(diag.log().mean(), -1.0)
+        return ad.reduce_sum(ad.row_softmax(sim) * eye, axis=1).mean()
+    diag = ad.reduce_sum(ad.log_softmax(sim) * eye, axis=1)
+    return ad.scale(diag.mean(), -1.0)
 
 
 def infonce_loss(batch: SSLBatch, head, literal: bool = False) -> Tensor:

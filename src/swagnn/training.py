@@ -152,9 +152,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of the true classes."""
     onehot = np.zeros(logits.data.shape)
     onehot[np.arange(len(labels)), labels] = 1.0
-    probs = ad.row_softmax(logits)
-    picked = ad.reduce_sum(probs * ad.constant(onehot), axis=1)
-    return ad.scale(picked.log().mean(), -1.0)
+    picked = ad.reduce_sum(ad.log_softmax(logits) * ad.constant(onehot), axis=1)
+    return ad.scale(picked.mean(), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +217,17 @@ def _check_finite(value: float, what: str, fold: int, epoch: int):
 # ---------------------------------------------------------------------------
 # per-fold training
 # ---------------------------------------------------------------------------
+
+def _validated_folds(ds: Dataset, cfg: TrainConfig) -> list:
+    """Stratified folds for training that keeps the best-validating epoch;
+    every fold must hold at least one validation graph."""
+    folds = stratified_folds(ds, cfg.folds, cfg.seed)
+    for fold, split in enumerate(folds):
+        if not split.val_idx:
+            raise ConfigError(f"fold {fold} of {cfg.folds} has no validation graph: no class "
+                              f"has two non-test graphs to split; use fewer folds")
+    return folds
+
 
 def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, kcfg: KernelConfig,
               fold: int, params: SwagParams = None, train_encoder: bool = True) -> dict:
@@ -290,7 +300,7 @@ def train_supervised(cfg: TrainConfig, dataset: Dataset = None) -> RunResult:
         raise ConfigError(f"train_supervised: mode must be 'supervised', got {cfg.mode!r}")
     ds = dataset if dataset is not None else load_dataset(cfg)
     kcfg = cfg.kernel_config()
-    folds = stratified_folds(ds, cfg.folds, cfg.seed)
+    folds = _validated_folds(ds, cfg)
     start = time.perf_counter()
     results = [_run_fold(ds, split, cfg, kcfg, fold)
                for fold, split in enumerate(folds)]
@@ -376,7 +386,7 @@ def adapt(pretrained: PretrainResult, cfg: TrainConfig,
         raise ConfigError(f"adapt: mode must be 'probe' or 'finetune', got {cfg.mode!r}")
     ds = dataset if dataset is not None else load_dataset(cfg)
     kcfg = cfg.kernel_config()
-    folds = stratified_folds(ds, cfg.folds, cfg.seed)
+    folds = _validated_folds(ds, cfg)
     if len(folds) != len(pretrained.fold_params):
         raise ConfigError("adapt: fold count does not match the pretrained run")
     start = time.perf_counter()

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from swagnn import augment
 from swagnn.augment import (
     AugmenterConfig,
     EdgeDropAugmenter,
@@ -11,6 +14,7 @@ from swagnn.augment import (
     make_augmenter,
     sample_augmentation,
     sbm_probability_matrix,
+    _round_robin,
     symmetric_eig,
     usvt_estimate,
     usvt_with_rank,
@@ -72,6 +76,48 @@ def test_eig_matches_library_spectrum():
     np.testing.assert_allclose(ours, ref, atol=1e-10)
 
 
+def assert_matches_eigh(a):
+    dec = symmetric_eig(a)
+    m = a.shape[0]
+    np.testing.assert_allclose(np.sort(dec.eigenvalues), np.linalg.eigvalsh(a),
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dec.reconstruct(), a, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dec.eigenvectors.T @ dec.eigenvectors, np.eye(m),
+                               rtol=0, atol=1e-10)
+    mags = np.abs(dec.eigenvalues)
+    assert np.all(mags[:-1] >= mags[1:])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 27, 28, 64])
+def test_eig_matches_eigh_random(m):
+    a = np.random.default_rng(m).standard_normal((m, m))
+    assert_matches_eigh(a + a.T)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_eig_matches_eigh_repeated_eigenvalue(n):
+    # K_n: n - 1 once and -1 with multiplicity n - 1
+    assert_matches_eigh(complete_graph(n).adjacency)
+
+
+def test_eig_matches_eigh_disconnected_and_zero():
+    a = np.zeros((9, 9))
+    for u, v in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]:  # triangle, path, 2 isolated
+        a[u, v] = a[v, u] = 1.0
+    assert_matches_eigh(a)
+    assert_matches_eigh(np.zeros((6, 6)))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_round_robin_meets_every_pair_once(m):
+    pairs = []
+    for p, q in _round_robin(m):
+        assert len(set(p) | set(q)) == 2 * len(p)  # disjoint within a round
+        assert np.all(p < q)
+        pairs.extend(zip(p.tolist(), q.tolist()))
+    assert sorted(pairs) == [(p, q) for p in range(m) for q in range(p + 1, m)]
+
+
 def test_eig_rejects_asymmetric():
     with pytest.raises(ContractError):
         symmetric_eig(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -125,6 +171,56 @@ def test_usvt_ties_are_kept():
     a = np.diag([2.0, 1.0, 0.5, 0.25])
     _, rank = usvt_with_rank(a, tau=0.5)
     assert rank == 2
+
+
+def usvt_eigh(a, tau):
+    w, v = np.linalg.eigh(a)
+    keep = np.abs(w) >= tau * math.sqrt(a.shape[0])
+    theta = np.clip((v[:, keep] * w[keep]) @ v[:, keep].T, 0.0, 1.0)
+    return 0.5 * (theta + theta.T), int(keep.sum())
+
+
+def count_eig_calls(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return symmetric_eig(a)
+
+    monkeypatch.setattr(augment, "symmetric_eig", counted)
+    return calls
+
+
+def cycle(n):
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("a", [cycle(10), generate_sbm([12, 12], 0.7, 0.1, seed=4).adjacency],
+                         ids=["cycle", "sbm"])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_usvt_rank0_bound_matches_eigh(monkeypatch, a, side):
+    # tau puts tau*sqrt(n) just below (side -1) or just above (side 1) the
+    # largest row sum; the cycle's top eigenvalue equals that row sum
+    calls = count_eig_calls(monkeypatch)
+    tau = a.sum(axis=1).max() * (1 + side * 1e-9) / math.sqrt(a.shape[0])
+    theta, rank = usvt_with_rank(a, tau)
+    want_theta, want_rank = usvt_eigh(a, tau)
+    assert rank == want_rank
+    np.testing.assert_allclose(theta, want_theta, rtol=0, atol=1e-10)
+    assert len(calls) == (0 if side == 1 else 1)
+
+
+def test_usvt_certified_rank0_skips_decomposition(monkeypatch):
+    # a molecule-sized ring at the default tau: degree 2 < 2.02*sqrt(18)
+    calls = count_eig_calls(monkeypatch)
+    theta, rank = usvt_with_rank(cycle(18), AugmenterConfig().tau)
+    assert rank == 0 and not calls
+    np.testing.assert_array_equal(theta, np.zeros((18, 18)))
+    with pytest.raises(ContractError):
+        usvt_with_rank(np.array([[0.0, 0.1], [0.0, 0.0]]), 2.02)
 
 
 def test_usvt_fixed_point_complete_graph():

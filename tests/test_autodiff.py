@@ -169,6 +169,20 @@ def test_row_softmax(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_log_softmax(seed):
+    rng = np.random.default_rng(450 + seed)
+    x = ad.parameter(rng.standard_normal((3, 5)))
+    w = rng.standard_normal((3, 5))
+    assert ad.finite_diff_check(lambda: (ad.log_softmax(x) * ad.constant(w)).sum(), [x]) <= 1e-6
+    np.testing.assert_array_equal(ad.log_softmax(x).data, np.log(ad.row_softmax(x).data))
+
+
+def test_log_softmax_keeps_large_gaps_finite():
+    y = ad.log_softmax(ad.constant([[0.0, 800.0], [-1e300, 1e300]]))
+    np.testing.assert_array_equal(y.data, [[-800.0, 0.0], [-2e300, 0.0]])
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_l2_normalize(seed):
     rng = np.random.default_rng(500 + seed)
     x = ad.parameter(rng.standard_normal((3, 4)) + 0.5)

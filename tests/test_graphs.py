@@ -261,6 +261,23 @@ def test_folds_deterministic_per_seed():
     assert any(x.test_idx != y.test_idx for x, y in zip(a, c))
 
 
+@pytest.mark.parametrize("k", range(3, 11))
+def test_folds_rotate_validation(k):
+    # MUTAG's class sizes, at which each fold's validation share fits in
+    # the chunk after its test chunk
+    graphs = [Graph(2, edge_graph().adjacency, np.ones((2, 1)), c)
+              for c, size in enumerate((125, 63)) for _ in range(size)]
+    ds = Dataset(graphs, 2, 1, "mutag-sized")
+    folds = stratified_folds(ds, k, seed=0)
+    val_count = np.zeros(len(ds), dtype=int)
+    train_count = np.zeros(len(ds), dtype=int)
+    for f in folds:
+        val_count[f.val_idx] += 1
+        train_count[f.train_idx] += 1
+    assert val_count.max() <= 1
+    assert train_count.min() >= 1
+
+
 def test_folds_config_errors():
     ds = toy_dataset(per_class=3)
     with pytest.raises(ConfigError):

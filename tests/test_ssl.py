@@ -72,6 +72,11 @@ def test_infonce_shift_invariance():
     assert abs(base - shifted) < 1e-10
 
 
+def test_infonce_survives_a_large_similarity_gap():
+    sim = ad.constant([[0.0, 800.0], [800.0, 0.0]])
+    assert infonce_from_similarities(sim).item() == 800.0
+
+
 def test_infonce_literal_is_softmax_probability():
     v = [1.0, 2.0]
     batch = batch_of([v, v], [v, v])

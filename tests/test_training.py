@@ -105,6 +105,12 @@ def test_cross_entropy_finite_differences(seed):
     assert err <= 1e-4
 
 
+def test_cross_entropy_survives_a_large_logit_gap():
+    # the true class trails by more than exp underflows: probability 0, loss 800
+    loss = softmax_cross_entropy(ad.constant([[0.0, 800.0]]), np.array([0]))
+    assert loss.item() == 800.0
+
+
 def test_toy_dataset_shape():
     ds = make_toy_dataset()
     assert len(ds) == 8 and ds.num_classes == 2
@@ -156,6 +162,13 @@ def test_nan_loss_aborts_with_diagnostic():
         with pytest.raises(TrainingError) as exc:
             train_supervised(small_cfg(epochs=2), dataset=bad)
     assert "fold" in str(exc.value)
+
+
+def test_empty_validation_split_is_a_config_error():
+    # two graphs per class and two folds leave one non-test graph per class
+    ds = Dataset(make_toy_dataset().graphs[2:6], 2, 1, "toy")
+    with pytest.raises(ConfigError, match="fold 0 of 2 has no validation graph"):
+        train_supervised(small_cfg(epochs=1), dataset=ds)
 
 
 def test_checkpoint_prefers_earliest_best_epoch():
