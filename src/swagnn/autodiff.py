@@ -195,12 +195,15 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), vjp, "scale")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # split formulation avoids overflow for large |x|
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    # split formulation avoids overflow for large |x|
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_data = _sigmoid(a.data)
 
     def vjp(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -460,9 +463,6 @@ class Tape:
                     stack.append((p, False))
         self.nodes = order
 
-    def op_nodes(self):
-        return [n for n in self.nodes if n._parents]
-
 
 def backward(loss: Tensor):
     """Propagate d(loss)/d(leaf) into every requires-grad leaf.
@@ -525,14 +525,6 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-
-def adam_step(params, grads, state: Adam):
-    """Functional form of one Adam update: assigns grads then steps."""
-    for p, g in zip(params, grads):
-        p.grad = np.asarray(g, dtype=np.float64)
-    state.step()
-    return params
 
 
 def finite_diff_check(f, params, step=1e-5, zero_tol=1e-8) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional
@@ -164,11 +165,60 @@ def diffuse(g: Graph, cfg: DiffusionConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _read_lines(path: str) -> list:
+    """(1-based line number, stripped text) for every non-blank line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+            return [(lineno, text) for lineno, line in enumerate(fh, start=1)
+                    if (text := line.strip())]
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_rows(cast, path: str, width: int = None) -> np.ndarray:
+    """Comma-separated ``cast`` values, one row per non-blank line, as a
+    2-D array.
+
+    Every row must have ``width`` values (or as many as the first row) and
+    every float must be finite; otherwise ``FormatError`` names the first
+    offending line.
+    """
+    dtype = np.float64 if cast is float else np.int64
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on an empty file
+            out = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, ndmin=2,
+                             encoding="utf-8")
+        if (width is None or out.shape[1] == width) and np.isfinite(out).all():
+            return out
+    except (OSError, ValueError):
+        pass
+    # loadtxt also stops at whitespace-only lines, which are allowed
+    rows = []
+    for lineno, line in _read_lines(path):
+        parts = line.split(",")
+        width = width or len(parts)
+        if len(parts) != width:
+            raise FormatError(f"{path}:{lineno}: expected {width} comma-separated values, "
+                              f"got {line!r}")
+        try:
+            row = [dtype(cast(token)) for token in parts]
+        except (ValueError, OverflowError):
+            raise FormatError(f"{path}:{lineno}: expected {dtype.__name__} values, "
+                              f"got {line!r}") from None
+        if not np.isfinite(row).all():
+            raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
+        rows.append(row)
+    return np.array(rows, dtype=dtype).reshape(len(rows), width or 0)
+
+
+def _line_number(path: str, k: int) -> int:
+    """The 1-based line number of the k-th (0-based) non-blank line."""
+    return _read_lines(path)[k][0]
+
+
+def _read_ints(path: str) -> np.ndarray:
+    """One integer per non-blank line."""
+    return _parse_rows(int, path, width=1)[:, 0]
 
 
 def load_tu_dataset(directory: str, name: str) -> Dataset:
@@ -180,7 +230,9 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     ``<name>_node_labels.txt`` entries are one-hot encoded and optional
     ``<name>_node_attributes.txt`` rows are taken verbatim; when both
     exist they are concatenated with the one-hot block first.  Without
-    either, node degree is used as the single feature.
+    either, node degree is used as the single feature.  A token that does
+    not parse, or a non-finite attribute, raises ``FormatError`` naming
+    the file and line.
     """
     paths = {key: os.path.join(directory, f"{name}_{key}.txt")
              for key in ("A", "graph_indicator", "graph_labels",
@@ -189,79 +241,74 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
         if not os.path.isfile(paths[key]):
             raise LoadError(f"missing mandatory file {paths[key]}")
 
-    indicator = [int(line) for line in _read_lines(paths["graph_indicator"])]
-    if not indicator:
+    indicator = _read_ints(paths["graph_indicator"])
+    if not indicator.size:
         raise LoadError(f"{paths['graph_indicator']} contains no node entries")
-    graph_ids = sorted(set(indicator))
     num_nodes = len(indicator)
-
-    # global 1-based node id -> (graph position, local 0-based node index)
-    node_graph = np.empty(num_nodes, dtype=np.int64)
+    # global 0-based node id -> graph position (graph ids in sorted order)
+    # and local index (order of appearance within the graph)
+    graph_ids, node_graph = np.unique(indicator, return_inverse=True)
+    sizes = np.bincount(node_graph)
+    by_graph = np.argsort(node_graph, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    members = np.split(by_graph, starts[1:])
     node_local = np.empty(num_nodes, dtype=np.int64)
-    sizes = {gid: 0 for gid in graph_ids}
-    gid_pos = {gid: i for i, gid in enumerate(graph_ids)}
-    for node, gid in enumerate(indicator):
-        node_graph[node] = gid_pos[gid]
-        node_local[node] = sizes[gid]
-        sizes[gid] += 1
+    node_local[by_graph] = np.arange(num_nodes) - np.repeat(starts, sizes)
 
-    adjacencies = [np.zeros((sizes[gid], sizes[gid])) for gid in graph_ids]
-    for lineno, line in enumerate(_read_lines(paths["A"]), start=1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"{paths['A']}:{lineno}: expected 'u, v'")
-        u, v = int(parts[0]), int(parts[1])
-        if not (1 <= u <= num_nodes and 1 <= v <= num_nodes):
-            raise FormatError(f"{paths['A']}:{lineno}: node id out of range")
-        if node_graph[u - 1] != node_graph[v - 1]:
-            raise FormatError(f"{paths['A']}:{lineno}: edge endpoint outside its graph")
-        if u == v:
-            continue  # self-loops are dropped
-        a = adjacencies[node_graph[u - 1]]
-        a[node_local[u - 1], node_local[v - 1]] = 1.0
-        a[node_local[v - 1], node_local[u - 1]] = 1.0
+    adjacencies = [np.zeros((n, n)) for n in sizes]
+    path_a = paths["A"]
+    edges = _parse_rows(int, path_a, width=2)
+    u, v = edges[:, 0] - 1, edges[:, 1] - 1
+    out_of_range = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
+    u, v = u.clip(0, num_nodes - 1), v.clip(0, num_nodes - 1)
+    bad = np.flatnonzero(out_of_range | (node_graph[u] != node_graph[v]))
+    if bad.size:
+        k = int(bad[0])
+        raise FormatError(f"{path_a}:{_line_number(path_a, k)}: " +
+                          ("node id out of range" if out_of_range[k]
+                           else "edge endpoint outside its graph"))
+    proper = u != v  # self-loops are dropped
+    order = np.argsort(node_graph[u[proper]], kind="stable")
+    u, v = u[proper][order], v[proper][order]
+    bounds = np.searchsorted(node_graph[u], np.arange(len(sizes) + 1))
+    for a, lo, hi in zip(adjacencies, bounds[:-1], bounds[1:]):
+        lu, lv = node_local[u[lo:hi]], node_local[v[lo:hi]]
+        a[lu, lv] = 1.0
+        a[lv, lu] = 1.0
 
-    raw_labels = [int(line) for line in _read_lines(paths["graph_labels"])]
+    raw_labels = _read_ints(paths["graph_labels"])
     if len(raw_labels) != len(graph_ids):
         raise FormatError(f"{paths['graph_labels']}: {len(raw_labels)} labels "
                           f"for {len(graph_ids)} graphs")
-    classes = sorted(set(raw_labels))
-    remap = {c: i for i, c in enumerate(classes)}
-    labels = [remap[c] for c in raw_labels]
+    classes, labels = np.unique(raw_labels, return_inverse=True)
 
-    features = _node_features(paths, indicator, adjacencies, node_graph, node_local)
+    features = _node_features(paths, num_nodes, adjacencies, members)
 
     graphs = [Graph(adjacencies[i].shape[0], adjacencies[i], features[i],
-                    labels[i]).validate()
+                    int(labels[i])).validate()
               for i in range(len(graph_ids))]
     return Dataset(graphs, len(classes), graphs[0].feature_dim, name)
 
 
-def _node_features(paths, indicator, adjacencies, node_graph, node_local):
+def _node_features(paths, num_nodes, adjacencies, members):
     blocks = []
     if os.path.isfile(paths["node_labels"]):
-        values = [int(line) for line in _read_lines(paths["node_labels"])]
-        if len(values) != len(indicator):
+        values = _read_ints(paths["node_labels"])
+        if len(values) != num_nodes:
             raise FormatError(f"{paths['node_labels']}: one entry per node required")
-        categories = sorted(set(values))
-        cat_pos = {c: i for i, c in enumerate(categories)}
-        onehot = np.zeros((len(values), len(categories)))
-        for node, value in enumerate(values):
-            onehot[node, cat_pos[value]] = 1.0
+        categories, category = np.unique(values, return_inverse=True)
+        onehot = np.zeros((num_nodes, len(categories)))
+        onehot[np.arange(num_nodes), category] = 1.0
         blocks.append(onehot)
     if os.path.isfile(paths["node_attributes"]):
-        rows = [[float(x) for x in line.split(",")]
-                for line in _read_lines(paths["node_attributes"])]
-        if len(rows) != len(indicator):
+        attributes = _parse_rows(float, paths["node_attributes"])
+        if len(attributes) != num_nodes:
             raise FormatError(f"{paths['node_attributes']}: one row per node required")
-        blocks.append(np.array(rows))
+        blocks.append(attributes)
 
     if blocks:
         full = np.concatenate(blocks, axis=1)
-        per_graph = [np.zeros((a.shape[0], full.shape[1])) for a in adjacencies]
-        for node in range(len(indicator)):
-            per_graph[node_graph[node]][node_local[node]] = full[node]
-        return per_graph
+        return [full[nodes] for nodes in members]
     return [a.sum(axis=1, keepdims=True) for a in adjacencies]
 
 

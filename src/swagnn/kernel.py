@@ -103,10 +103,13 @@ class FeatureMap:
         bias = ad.parameter(rng.uniform(-bound, bound, size=d_h))
         return cls(weight, bias)
 
-    def __call__(self, features: np.ndarray) -> Tensor:
+    def check_input(self, features: np.ndarray):
         if features.shape[1] != self.input_dim:
             raise ContractError(f"FeatureMap: expected {self.input_dim} input features, "
                                 f"got {features.shape[1]}")
+
+    def __call__(self, features: np.ndarray) -> Tensor:
+        self.check_input(features)
         return ad.constant(features) @ self.weight + self.bias
 
 
@@ -220,126 +223,148 @@ def smoothed_kernel(B, Xm, h: HiddenGraph, p: int) -> Tensor:
     return ad.trace_product(left, right)
 
 
-def _encode_one(b: Tensor, xm: Tensor, params: SwagParams, cfg: KernelConfig,
-                hidden_sides: list) -> Tensor:
-    """Kernel values for one graph against every hidden graph, as a 1-D
-    tensor ordered hidden-graph-major, walk-length-minor."""
-    values = []
-    for h, b_hid_pows in zip(params.hidden_graphs, hidden_sides):
-        s = xm @ h.hidden_features.transpose()
-        s_t = s.transpose()
-        left = b @ s
-        for q in range(cfg.max_walk):
-            values.append(ad.trace_product(left @ b_hid_pows[q], s_t))
-            if q + 1 < cfg.max_walk:
-                left = b @ left
-    return ad.concat(values)
+def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig, keep: bool):
+    """The one numpy evaluation behind every encoder entry point.
 
-
-def _hidden_power_chains(params: SwagParams, cfg: KernelConfig) -> list:
-    """Per hidden graph, the chain [B', B'^2, ..., B'^P]; shared across a
-    batch so the m x m multiplications happen once per step."""
-    chains = []
-    for h in params.hidden_graphs:
-        b_hid = hidden_adjacency(h)
-        pows = [b_hid]
-        for _ in range(cfg.max_walk - 1):
-            pows.append(b_hid @ pows[-1])
-        chains.append(pows)
-    return chains
-
-
-def swag_encode(g: Graph, params: SwagParams, cfg: KernelConfig) -> Tensor:
-    """Encode one graph as the M*P vector of smoothed kernel values."""
-    b = ad.constant(diffuse(g, cfg.diffusion))
-    xm = params.feature_map(g.features)
-    return _encode_one(b, xm, params, cfg, _hidden_power_chains(params, cfg))
-
-
-def _batch_constants(cfg: KernelConfig):
-    """Constant index helpers for the merged hidden-graph layout: a column
-    block-sum matrix and the permutation from walk-major to the documented
-    hidden-graph-major output order."""
+    All hidden graphs are merged into one block-diagonal system so the
+    hidden-side products happen once per call: with S = Xm F^T over the
+    concatenated hidden features F, the kernel for hidden graph h at walk
+    length p is the block-h column sum of (B^p S) * (Xm F^T Bhid^p).  The
+    column block sums go through a 0/1 ``group`` matmul, whose rounding
+    the encodings are pinned to.  Returns the len(graphs) x M*P encodings,
+    ordered hidden-graph-major, walk-length-minor, and, when ``keep`` is
+    set, the intermediates the backward pass needs.
+    """
+    if not graphs:
+        raise ContractError("encode_batch: empty batch")
     m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
+    fm = params.feature_map
+    weight, bias = fm.weight.data, fm.bias.data
+    feats = np.concatenate([h.hidden_features.data for h in params.hidden_graphs], axis=0)
+    mask = 1.0 - np.eye(m)
+    sig = []
+    bhid = np.zeros((M * m, M * m))
+    for i, h in enumerate(params.hidden_graphs):
+        raw = h.raw_weights.data
+        sig.append(ad._sigmoid((raw + raw.T) * 0.5))
+        bhid[i * m:(i + 1) * m, i * m:(i + 1) * m] = sig[-1] * mask
+    # right-hand factors F^T Bhid^p, shared by every graph in the call
+    right = [feats.T @ bhid]
+    for _ in range(P - 1):
+        right.append(right[-1] @ bhid)
     group = np.zeros((M * m, M))
-    for h in range(M):
-        group[h * m:(h + 1) * m, h] = 1.0
-    perm = np.zeros((M * P, M * P))
-    for p in range(P):
-        for h in range(M):
-            perm[p * M + h, h * P + p] = 1.0
-    return ad.constant(group), ad.constant(perm)
+    for i in range(M):
+        group[i * m:(i + 1) * m, i] = 1.0
+
+    # lefts[q] and rights[q]: for walk length p = q + 1, the factors B^p S
+    # and Xm F^T Bhid^p of every graph, stacked by node rows when kept for
+    # the backward pass, else one graph at a time in reused buffers
+    rows_needed = sum(g.n for g in graphs) if keep else max(g.n for g in graphs)
+    lefts = [np.empty((rows_needed, M * m)) for _ in range(P)]
+    rights = [np.empty((rows_needed, M * m)) for _ in range(P)]
+    out = np.empty((len(graphs), M * P))
+    bs, xs, xms = [], [], []
+    lo = 0
+    for gi, g in enumerate(graphs):
+        fm.check_input(g.features)
+        b = diffuse(g, cfg.diffusion)
+        xm = g.features @ weight + bias
+        rows = slice(lo, lo + g.n)
+        left = np.matmul(b, xm @ feats.T, out=lefts[0][rows])
+        for q in range(P):
+            r = np.matmul(xm, right[q], out=rights[q][rows])
+            out[gi, q::P] = ((left * r) @ group).sum(axis=0)
+            if q + 1 < P:
+                left = np.matmul(b, left, out=lefts[q + 1][rows])
+        if keep:
+            bs.append(b)
+            xs.append(g.features)
+            xms.append(xm)
+            lo += g.n
+    if not keep:
+        return out, None
+    return out, (feats, mask, sig, bhid, right, bs, xs, xms, lefts, rights)
+
+
+def _encoder_backward(grad: np.ndarray, parents: list, cfg: KernelConfig, kept):
+    """Reverse of ``_encoder_forward``: accumulates d(output) . grad into
+    each of ``parents`` (``SwagParams.parameters()`` order) that requires
+    grad.  Only the B^T recursion runs per graph; the products that
+    contract over nodes run once over all graphs stacked.  Consumes the
+    kept buffers, which are overwritten with their gradients."""
+    feats, mask, sig, bhid, right, bs, xs, xms, lefts, rights = kept
+    m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
+    sizes = [b.shape[0] for b in bs]
+    xs, xms = np.concatenate(xs, axis=0), np.concatenate(xms, axis=0)
+    node_graph = np.repeat(np.arange(len(bs)), sizes)
+    spread = np.empty_like(lefts[0])
+    for q in range(P):
+        # output gradient of walk length q, spread over every node row and
+        # over the m columns of each hidden graph's block
+        np.take(np.repeat(grad[:, q::P], m, axis=1), node_graph, axis=0, out=spread,
+                mode="clip")  # "raise" would buffer the output; indices are valid
+        lefts[q] *= spread
+        rights[q] *= spread
+    # lefts[q] now holds the gradient of the right factor and rights[q] the
+    # direct part of the left factor's, whose chain through B^T runs per graph
+    d_r, d_left, d_s = lefts, rights, spread
+    lo = 0
+    for b, n in zip(bs, sizes):
+        rows = slice(lo, lo + n)
+        acc = d_left[P - 1][rows]
+        for q in range(P - 2, -1, -1):
+            acc = b.T @ acc + d_left[q][rows]
+        np.matmul(b.T, acc, out=d_s[rows])
+        lo += n
+
+    d_xm = d_s @ feats
+    for q in range(P):
+        d_xm += d_r[q] @ right[q].T
+    d_right = [xms.T @ d_r[q] for q in range(P)]
+    d_bhid = np.zeros_like(bhid)
+    for q in range(P - 1, 0, -1):
+        d_bhid += right[q - 1].T @ d_right[q]
+        d_right[q - 1] += d_right[q] @ bhid.T
+    d_bhid += feats @ d_right[0]
+    d_feats = d_s.T @ xms + bhid @ d_right[0].T
+
+    weight, bias = parents[:2]
+    if weight.requires_grad:
+        ad._accumulate(weight, xs.T @ d_xm)
+    if bias.requires_grad:
+        ad._accumulate(bias, d_xm.sum(axis=0))
+    for i in range(M):
+        raw, features = parents[2 + 2 * i:4 + 2 * i]
+        block = slice(i * m, (i + 1) * m)
+        if raw.requires_grad:
+            half = d_bhid[block, block] * mask * sig[i] * (1.0 - sig[i]) * 0.5
+            ad._accumulate(raw, half + half.T)
+        if features.requires_grad:
+            ad._accumulate(features, d_feats[block])
 
 
 def encode_batch(graphs: list, params: SwagParams, cfg: KernelConfig) -> Tensor:
     """Encode a batch into a len(graphs) x M*P tensor (rows in input order).
 
-    All hidden graphs are merged into one block-diagonal system so the
-    hidden-side products happen once per batch: with S = Xm F^T over the
-    concatenated hidden features F, the kernel for hidden graph h at walk
-    length p is the block-h column sum of (B^p S) * (S Bhid^p).
+    A single autodiff node over ``params.parameters()`` with a hand-written
+    vector-Jacobian product; the values are those of ``encode_numpy``.
     """
-    if not graphs:
-        raise ContractError("encode_batch: empty batch")
-    feats_all = ad.concat_rows([h.hidden_features for h in params.hidden_graphs])
-    bhid_all = ad.block_diag([hidden_adjacency(h) for h in params.hidden_graphs])
-    # right-hand factors F^T Bhid^p, shared by every graph in the batch
-    right = [feats_all.transpose() @ bhid_all]
-    for _ in range(cfg.max_walk - 1):
-        right.append(right[-1] @ bhid_all)
-    group, perm = _batch_constants(cfg)
+    parents = params.parameters()
+    keep = any(p.requires_grad for p in parents)
+    out, kept = _encoder_forward(graphs, params, cfg, keep)
 
-    rows = []
-    for g in graphs:
-        b = ad.constant(diffuse(g, cfg.diffusion))
-        xm = params.feature_map(g.features)
-        s_all = xm @ feats_all.transpose()
-        left = b @ s_all
-        per_walk = []
-        for q in range(cfg.max_walk):
-            per_walk.append(ad.reduce_sum((left * (xm @ right[q])) @ group, axis=0))
-            if q + 1 < cfg.max_walk:
-                left = b @ left
-        rows.append(ad.concat(per_walk))
-    return ad.stack_rows(rows) @ perm
+    def vjp(g):
+        _encoder_backward(g, parents, cfg, kept)
+
+    return ad._node(out, parents, vjp, "encode_batch")
 
 
 def encode_numpy(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.ndarray:
-    """Gradient-free encoding used for evaluation and frozen-encoder runs.
-
-    Same merged-hidden-graph evaluation as encode_batch, without the tape.
-    """
-    m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
-    fm_w = params.feature_map.weight.data
-    fm_b = params.feature_map.bias.data
-    feats_all = np.concatenate([h.hidden_features.data for h in params.hidden_graphs])
-    mask = 1.0 - np.eye(m)
-    blocks = []
-    for h in params.hidden_graphs:
-        raw = h.raw_weights.data
-        blocks.append(_sigmoid(0.5 * (raw + raw.T)) * mask)
-    bhid_all = np.zeros((M * m, M * m))
-    for i, blk in enumerate(blocks):
-        bhid_all[i * m:(i + 1) * m, i * m:(i + 1) * m] = blk
-    right = [feats_all.T @ bhid_all]
-    for _ in range(P - 1):
-        right.append(right[-1] @ bhid_all)
-
-    out = np.empty((len(graphs), cfg.output_dim))
-    for gi, g in enumerate(graphs):
-        b = diffuse(g, cfg.diffusion)
-        xm = g.features @ fm_w + fm_b
-        s_all = xm @ feats_all.T
-        left = b @ s_all
-        for q in range(P):
-            per_block = (left * (xm @ right[q])).sum(axis=0).reshape(M, m).sum(axis=1)
-            out[gi, q::P] = per_block
-            if q + 1 < P:
-                left = b @ left
-    return out
+    """Gradient-free encoding used for evaluation and frozen-encoder runs:
+    the ``encode_batch`` forward without keeping intermediates."""
+    return _encoder_forward(graphs, params, cfg, keep=False)[0]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    z = np.exp(-np.abs(x))
-    return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+def swag_encode(g: Graph, params: SwagParams, cfg: KernelConfig) -> Tensor:
+    """Encode one graph as the M*P vector of smoothed kernel values."""
+    return ad.reduce_sum(encode_batch([g], params, cfg), axis=0)

@@ -68,7 +68,8 @@ class TwoLayerMLP:
 
 
 class ProjectionHead(TwoLayerMLP):
-    """Head in front of the contrastive similarity, encoding -> 32 -> 32."""
+    """Head in front of either objective, encoding -> 32 -> 32: the
+    contrastive similarity or the non-contrastive cosine."""
 
     WIDTH = 32
 
@@ -77,14 +78,7 @@ class ProjectionHead(TwoLayerMLP):
         return cls.init(input_dim, cls.WIDTH, cls.WIDTH, rng)
 
 
-class PredictionHead(TwoLayerMLP):
-    """Head in front of the non-contrastive cosine, same width policy."""
-
-    WIDTH = 32
-
-    @classmethod
-    def for_encoder(cls, input_dim: int, rng: np.random.Generator) -> "PredictionHead":
-        return cls.init(input_dim, cls.WIDTH, cls.WIDTH, rng)
+PredictionHead = ProjectionHead
 
 
 @dataclass

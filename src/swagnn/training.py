@@ -31,7 +31,6 @@ from .graphs import (
 )
 from .kernel import KernelConfig, SwagParams, encode_batch, encode_numpy
 from .ssl import (
-    PredictionHead,
     ProjectionHead,
     TwoLayerMLP,
     infonce_loss,
@@ -191,13 +190,9 @@ def _batch_indices(order: np.ndarray, batch_size: int, min_last: int = 1) -> lis
     return batches
 
 
-def _mlp_numpy(x: np.ndarray, head: TwoLayerMLP) -> np.ndarray:
-    h = np.maximum(x @ head.w1.data + head.b1.data, 0.0)
-    return h @ head.w2.data + head.b2.data
-
-
 def _accuracy(encodings: np.ndarray, labels: np.ndarray, head: TwoLayerMLP) -> float:
-    return float(np.mean(_mlp_numpy(encodings, head).argmax(axis=1) == labels))
+    logits = head(ad.constant(encodings)).data
+    return float(np.mean(logits.argmax(axis=1) == labels))
 
 
 def _snapshot(params_list: list) -> list:
@@ -325,11 +320,10 @@ def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig,
                    kcfg: KernelConfig, fold: int, augmenter, epochs: int):
     rng = np.random.default_rng([cfg.seed, fold, 1])
     params = SwagParams.init(kcfg, ds.feature_dim, rng)
+    head = ProjectionHead.for_encoder(kcfg.output_dim, rng)
     if cfg.objective == "infonce":
-        head = ProjectionHead.for_encoder(kcfg.output_dim, rng)
         loss_fn, min_batch = infonce_loss, 2
     else:
-        head = PredictionHead.for_encoder(kcfg.output_dim, rng)
         loss_fn, min_batch = noncontrastive_loss, 1
     opt = ad.Adam(params.parameters() + head.parameters(), lr=cfg.lr)
 

@@ -69,6 +69,22 @@ def test_config_file_unreadable(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def write_tu(directory, edges):
+    directory.mkdir()
+    (directory / "BAD_A.txt").write_text(edges)
+    (directory / "BAD_graph_indicator.txt").write_text("1\n1\n2\n2\n")
+    (directory / "BAD_graph_labels.txt").write_text("0\n1\n")
+    return str(directory)
+
+
+def test_malformed_tu_file_is_a_diagnostic(tmp_path, capsys):
+    data = write_tu(tmp_path / "BAD", "1, 2\n2, x\n")
+    argv = [a if a != "toy" else "BAD" for a in TINY]
+    assert run_cli("train", *argv, "--data-dir", data) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "BAD_A.txt:2:" in err
+
+
 def test_build_config_defaults():
     class Args:
         config = None

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,71 @@ def test_load_tu_cross_graph_edge(tmp_path):
     import os
     with open(os.path.join(d, "TOY_A.txt"), "a") as fh:
         fh.write("3, 4\n")
+    with pytest.raises(FormatError):
+        load_tu_dataset(d, "TOY")
+
+
+@pytest.mark.parametrize("filename, text, where", [
+    ("TOY_A.txt", "1, 2\n2, x\n", ":2:"),
+    ("TOY_A.txt", "1, 2\n\n2.5, 1\n", ":3:"),
+    ("TOY_graph_indicator.txt", "1\n1\none\n2\n2\n", ":3:"),
+    ("TOY_graph_labels.txt", "1\n-1.0\n", ":2:"),
+])
+def test_load_tu_non_integer_token_names_file_and_line(tmp_path, filename, text, where):
+    d = write_fixture(tmp_path)
+    (tmp_path / "TOY" / filename).write_text(text)
+    with pytest.raises(FormatError) as exc:
+        load_tu_dataset(d, "TOY")
+    assert f"{filename}{where}" in str(exc.value)
+
+
+def test_load_tu_non_integer_node_label(tmp_path):
+    d = write_fixture(tmp_path, with_node_labels=True)
+    (tmp_path / "TOY" / "TOY_node_labels.txt").write_text("0\n1\n0\nC\n1\n")
+    with pytest.raises(FormatError) as exc:
+        load_tu_dataset(d, "TOY")
+    assert "TOY_node_labels.txt:4:" in str(exc.value)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "abc"])
+def test_load_tu_rejects_bad_attribute(tmp_path, token):
+    d = write_fixture(tmp_path, with_attrs=True)
+    (tmp_path / "TOY" / "TOY_node_attributes.txt").write_text(
+        f"0.5, 1.0\n0.1, {token}\n0.0, 0.0\n2.0, 3.0\n4.0, 5.0\n")
+    with pytest.raises(FormatError) as exc:
+        load_tu_dataset(d, "TOY")
+    assert "TOY_node_attributes.txt:2:" in str(exc.value)
+
+
+def test_load_tu_skips_blank_and_whitespace_lines(tmp_path):
+    d = write_fixture(tmp_path, with_attrs=True)
+    plain = load_tu_dataset(d, "TOY")
+    (tmp_path / "TOY" / "TOY_A.txt").write_text(
+        "1, 2\n2, 1\n  \n2, 3\n3, 2\n\n1, 3\n3, 1\n4, 5\n\t\n5, 4\n")
+    (tmp_path / "TOY" / "TOY_graph_labels.txt").write_text("1\n \n-1\n")
+    spaced = load_tu_dataset(d, "TOY")
+    for g, h in zip(plain.graphs, spaced.graphs):
+        np.testing.assert_array_equal(g.adjacency, h.adjacency)
+        np.testing.assert_array_equal(g.features, h.features)
+        assert g.label == h.label
+    with open(os.path.join(d, "TOY_A.txt"), "a") as fh:
+        fh.write(" \n9, 1\n")
+    with pytest.raises(FormatError) as exc:
+        load_tu_dataset(d, "TOY")
+    assert "TOY_A.txt:13:" in str(exc.value)
+
+
+def test_load_tu_undecodable_file(tmp_path):
+    d = write_fixture(tmp_path)
+    (tmp_path / "TOY" / "TOY_graph_labels.txt").write_bytes(b"1\n\xff\xfe\n")
+    with pytest.raises(LoadError):
+        load_tu_dataset(d, "TOY")
+
+
+def test_load_tu_rejects_ragged_attributes(tmp_path):
+    d = write_fixture(tmp_path, with_attrs=True)
+    (tmp_path / "TOY" / "TOY_node_attributes.txt").write_text(
+        "0.5, 1.0\n0.1\n0.0, 0.0\n2.0, 3.0\n4.0, 5.0\n")
     with pytest.raises(FormatError):
         load_tu_dataset(d, "TOY")
 

@@ -259,10 +259,142 @@ def test_encode_numpy_matches_autodiff():
     params = make_params(rng, cfg, 2)
     graphs = [random_graph(rng, int(rng.integers(2, 8))) for _ in range(5)]
     fast = encode_numpy(graphs, params, cfg)
-    slow = encode_batch(graphs, params, cfg).data
-    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(fast, encode_batch(graphs, params, cfg).data)
     single = np.stack([swag_encode(g, params, cfg).data for g in graphs])
-    np.testing.assert_allclose(fast, single, rtol=1e-9, atol=1e-10)
+    np.testing.assert_array_equal(fast, single)
+
+
+# ---------------------------------------------------------------------------
+# the fused encoder against its composition from autodiff primitives
+# ---------------------------------------------------------------------------
+
+def tape_encode_batch(graphs, params, cfg):
+    """The encoder composed from ``ad`` primitives, one tape node per
+    operation: the arithmetic ``encode_batch`` must reproduce bit for bit,
+    and a second, independent derivation of its gradient."""
+    m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
+    feats_all = ad.concat_rows([h.hidden_features for h in params.hidden_graphs])
+    bhid_all = ad.block_diag([hidden_adjacency(h) for h in params.hidden_graphs])
+    right = [feats_all.transpose() @ bhid_all]
+    for _ in range(P - 1):
+        right.append(right[-1] @ bhid_all)
+    group = np.zeros((M * m, M))
+    for h in range(M):
+        group[h * m:(h + 1) * m, h] = 1.0
+    perm = np.zeros((M * P, M * P))
+    for p in range(P):
+        for h in range(M):
+            perm[p * M + h, h * P + p] = 1.0
+    group, perm = ad.constant(group), ad.constant(perm)
+
+    rows = []
+    for g in graphs:
+        b = ad.constant(diffuse(g, cfg.diffusion))
+        xm = params.feature_map(g.features)
+        left = b @ (xm @ feats_all.transpose())
+        per_walk = []
+        for q in range(P):
+            per_walk.append(ad.reduce_sum((left * (xm @ right[q])) @ group, axis=0))
+            if q + 1 < P:
+                left = b @ left
+        rows.append(ad.concat(per_walk))
+    return ad.stack_rows(rows) @ perm
+
+
+def edge_case_batch(rng, d):
+    """A 1-node graph, a graph with an isolated node, all-zero features and
+    the same Graph object twice."""
+    single = Graph(1, np.zeros((1, 1)), rng.standard_normal((1, d)))
+    isolated = random_graph(rng, 5, d, edge_p=0.8)
+    isolated.adjacency[4, :] = isolated.adjacency[:, 4] = 0.0
+    zeros = Graph(4, random_graph(rng, 4, d, edge_p=0.7).adjacency, np.zeros((4, d)))
+    shared = random_graph(rng, 6, d)
+    return [single, shared, isolated, zeros, shared]
+
+
+ENCODER_CASES = [
+    # (seed, KernelConfig fields, input dim)
+    (0, dict(num_hidden=3, hidden_nodes=4, hidden_dim=3, max_walk=3), 2),
+    (1, dict(num_hidden=1, hidden_nodes=2, hidden_dim=1, max_walk=1), 1),
+    (2, dict(num_hidden=5, hidden_nodes=3, hidden_dim=4, max_walk=4), 3),
+    (3, dict(num_hidden=16, hidden_nodes=10, hidden_dim=32, max_walk=3), 7),
+]
+
+
+def encoder_case(seed, fields, d):
+    rng = np.random.default_rng(400 + seed)
+    cfg = KernelConfig(**fields)
+    params = make_params(rng, cfg, d)
+    graphs = edge_case_batch(rng, d) + [random_graph(rng, int(rng.integers(2, 12)), d)
+                                        for _ in range(6)]
+    return rng, cfg, params, graphs
+
+
+def leaf_grads(params):
+    return [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+            for p in params.parameters()]
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    for g, w in zip(got, want):
+        scale = max(float(np.max(np.abs(w))), 1e-300)
+        assert float(np.max(np.abs(g - w))) <= rel * scale
+
+
+@pytest.mark.parametrize("seed, fields, d", ENCODER_CASES)
+def test_encode_batch_is_bitwise_the_tape_composition(seed, fields, d):
+    _, cfg, params, graphs = encoder_case(seed, fields, d)
+    fused = encode_batch(graphs, params, cfg).data
+    np.testing.assert_array_equal(fused, tape_encode_batch(graphs, params, cfg).data)
+    np.testing.assert_array_equal(encode_numpy(graphs, params, cfg), fused)
+    np.testing.assert_array_equal(fused[1], fused[4])
+
+
+@pytest.mark.parametrize("seed, fields, d", ENCODER_CASES)
+def test_encode_batch_vjp_matches_the_tape(seed, fields, d):
+    rng, cfg, params, graphs = encoder_case(seed, fields, d)
+    w = ad.constant(rng.standard_normal((len(graphs), cfg.output_dim)))
+    grads = []
+    for encode in (encode_batch, tape_encode_batch):
+        for p in params.parameters():
+            p.grad = None
+        ad.backward((encode(graphs, params, cfg) * w).sum())
+        grads.append(leaf_grads(params))
+    assert_grads_close(*grads)
+
+
+def test_encode_batch_is_one_tape_node():
+    _, cfg, params, graphs = encoder_case(*ENCODER_CASES[0])
+    out = encode_batch(graphs, params, cfg)
+    assert out._op == "encode_batch"
+    assert list(out._parents) == params.parameters()
+    assert len(ad.Tape(out.sum()).nodes) == len(params.parameters()) + 2
+
+
+def test_encode_batch_gradients_skip_frozen_leaves():
+    rng, cfg, params, graphs = encoder_case(*ENCODER_CASES[0])
+    frozen = params.hidden_graphs[1].raw_weights
+    frozen.requires_grad = False
+    w = ad.constant(rng.standard_normal((len(graphs), cfg.output_dim)))
+    ad.backward((encode_batch(graphs, params, cfg) * w).sum())
+    assert frozen.grad is None
+    assert all(p.grad is not None for p in params.parameters() if p is not frozen)
+
+
+def test_encode_batch_without_trainable_leaves_records_no_backward():
+    _, cfg, params, graphs = encoder_case(*ENCODER_CASES[0])
+    for p in params.parameters():
+        p.requires_grad = False
+    out = encode_batch(graphs, params, cfg)
+    assert not out.requires_grad and out._vjp is None
+
+
+def test_encode_batch_rejects_empty_batch_and_wrong_features():
+    _, cfg, params, graphs = encoder_case(*ENCODER_CASES[0])
+    with pytest.raises(ContractError):
+        encode_batch([], params, cfg)
+    with pytest.raises(ContractError):
+        encode_numpy([random_graph(np.random.default_rng(0), 3, d=5)], params, cfg)
 
 
 @pytest.mark.parametrize("seed", range(3))
