@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional
@@ -174,51 +173,15 @@ def _read_lines(path: str) -> list:
         raise LoadError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_rows(cast, path: str, width: int = None) -> np.ndarray:
-    """Comma-separated ``cast`` values, one row per non-blank line, as a
-    2-D array.
-
-    Every row must have ``width`` values (or as many as the first row) and
-    every float must be finite; otherwise ``FormatError`` names the first
-    offending line.
-    """
-    dtype = np.float64 if cast is float else np.int64
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on an empty file
-            out = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, ndmin=2,
-                             encoding="utf-8")
-        if (width is None or out.shape[1] == width) and np.isfinite(out).all():
-            return out
-    except (OSError, ValueError):
-        pass
-    # loadtxt also stops at whitespace-only lines, which are allowed
-    rows = []
-    for lineno, line in _read_lines(path):
-        parts = line.split(",")
-        width = width or len(parts)
-        if len(parts) != width:
-            raise FormatError(f"{path}:{lineno}: expected {width} comma-separated values, "
-                              f"got {line!r}")
-        try:
-            row = [dtype(cast(token)) for token in parts]
-        except (ValueError, OverflowError):
-            raise FormatError(f"{path}:{lineno}: expected {dtype.__name__} values, "
-                              f"got {line!r}") from None
-        if not np.isfinite(row).all():
-            raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
-        rows.append(row)
-    return np.array(rows, dtype=dtype).reshape(len(rows), width or 0)
-
-
-def _line_number(path: str, k: int) -> int:
-    """The 1-based line number of the k-th (0-based) non-blank line."""
-    return _read_lines(path)[k][0]
-
-
-def _read_ints(path: str) -> np.ndarray:
+def _read_ints(path: str) -> list:
     """One integer per non-blank line."""
-    return _parse_rows(int, path, width=1)[:, 0]
+    values = []
+    for lineno, line in _read_lines(path):
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: expected an integer, got {line!r}") from None
+    return values
 
 
 def load_tu_dataset(directory: str, name: str) -> Dataset:
@@ -242,73 +205,89 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
             raise LoadError(f"missing mandatory file {paths[key]}")
 
     indicator = _read_ints(paths["graph_indicator"])
-    if not indicator.size:
+    if not indicator:
         raise LoadError(f"{paths['graph_indicator']} contains no node entries")
+    graph_ids = sorted(set(indicator))
     num_nodes = len(indicator)
-    # global 0-based node id -> graph position (graph ids in sorted order)
-    # and local index (order of appearance within the graph)
-    graph_ids, node_graph = np.unique(indicator, return_inverse=True)
-    sizes = np.bincount(node_graph)
-    by_graph = np.argsort(node_graph, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    members = np.split(by_graph, starts[1:])
-    node_local = np.empty(num_nodes, dtype=np.int64)
-    node_local[by_graph] = np.arange(num_nodes) - np.repeat(starts, sizes)
 
-    adjacencies = [np.zeros((n, n)) for n in sizes]
-    path_a = paths["A"]
-    edges = _parse_rows(int, path_a, width=2)
-    u, v = edges[:, 0] - 1, edges[:, 1] - 1
-    out_of_range = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
-    u, v = u.clip(0, num_nodes - 1), v.clip(0, num_nodes - 1)
-    bad = np.flatnonzero(out_of_range | (node_graph[u] != node_graph[v]))
-    if bad.size:
-        k = int(bad[0])
-        raise FormatError(f"{path_a}:{_line_number(path_a, k)}: " +
-                          ("node id out of range" if out_of_range[k]
-                           else "edge endpoint outside its graph"))
-    proper = u != v  # self-loops are dropped
-    order = np.argsort(node_graph[u[proper]], kind="stable")
-    u, v = u[proper][order], v[proper][order]
-    bounds = np.searchsorted(node_graph[u], np.arange(len(sizes) + 1))
-    for a, lo, hi in zip(adjacencies, bounds[:-1], bounds[1:]):
-        lu, lv = node_local[u[lo:hi]], node_local[v[lo:hi]]
-        a[lu, lv] = 1.0
-        a[lv, lu] = 1.0
+    # global 1-based node id -> (graph position, local 0-based node index)
+    node_graph = np.empty(num_nodes, dtype=np.int64)
+    node_local = np.empty(num_nodes, dtype=np.int64)
+    sizes = {gid: 0 for gid in graph_ids}
+    gid_pos = {gid: i for i, gid in enumerate(graph_ids)}
+    for node, gid in enumerate(indicator):
+        node_graph[node] = gid_pos[gid]
+        node_local[node] = sizes[gid]
+        sizes[gid] += 1
+
+    adjacencies = [np.zeros((sizes[gid], sizes[gid])) for gid in graph_ids]
+    for lineno, line in _read_lines(paths["A"]):
+        try:
+            u, v = line.split(",")
+            u, v = int(u), int(v)
+        except ValueError:
+            raise FormatError(f"{paths['A']}:{lineno}: expected 'u, v', got {line!r}") from None
+        if not (1 <= u <= num_nodes and 1 <= v <= num_nodes):
+            raise FormatError(f"{paths['A']}:{lineno}: node id out of range")
+        if node_graph[u - 1] != node_graph[v - 1]:
+            raise FormatError(f"{paths['A']}:{lineno}: edge endpoint outside its graph")
+        if u == v:
+            continue  # self-loops are dropped
+        a = adjacencies[node_graph[u - 1]]
+        a[node_local[u - 1], node_local[v - 1]] = 1.0
+        a[node_local[v - 1], node_local[u - 1]] = 1.0
 
     raw_labels = _read_ints(paths["graph_labels"])
     if len(raw_labels) != len(graph_ids):
         raise FormatError(f"{paths['graph_labels']}: {len(raw_labels)} labels "
                           f"for {len(graph_ids)} graphs")
-    classes, labels = np.unique(raw_labels, return_inverse=True)
+    classes = sorted(set(raw_labels))
+    remap = {c: i for i, c in enumerate(classes)}
+    labels = [remap[c] for c in raw_labels]
 
-    features = _node_features(paths, num_nodes, adjacencies, members)
+    features = _node_features(paths, indicator, adjacencies, node_graph, node_local)
 
     graphs = [Graph(adjacencies[i].shape[0], adjacencies[i], features[i],
-                    int(labels[i])).validate()
+                    labels[i]).validate()
               for i in range(len(graph_ids))]
     return Dataset(graphs, len(classes), graphs[0].feature_dim, name)
 
 
-def _node_features(paths, num_nodes, adjacencies, members):
+def _node_features(paths, indicator, adjacencies, node_graph, node_local):
     blocks = []
     if os.path.isfile(paths["node_labels"]):
         values = _read_ints(paths["node_labels"])
-        if len(values) != num_nodes:
+        if len(values) != len(indicator):
             raise FormatError(f"{paths['node_labels']}: one entry per node required")
-        categories, category = np.unique(values, return_inverse=True)
-        onehot = np.zeros((num_nodes, len(categories)))
-        onehot[np.arange(num_nodes), category] = 1.0
+        categories = sorted(set(values))
+        cat_pos = {c: i for i, c in enumerate(categories)}
+        onehot = np.zeros((len(values), len(categories)))
+        for node, value in enumerate(values):
+            onehot[node, cat_pos[value]] = 1.0
         blocks.append(onehot)
     if os.path.isfile(paths["node_attributes"]):
-        attributes = _parse_rows(float, paths["node_attributes"])
-        if len(attributes) != num_nodes:
+        path = paths["node_attributes"]
+        rows = []
+        for lineno, line in _read_lines(path):
+            try:
+                row = [float(x) for x in line.split(",")]
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: expected float values, got {line!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
+            if rows and len(row) != len(rows[0]):
+                raise FormatError(f"{path}:{lineno}: expected {len(rows[0])} values, got {line!r}")
+            rows.append(row)
+        if len(rows) != len(indicator):
             raise FormatError(f"{paths['node_attributes']}: one row per node required")
-        blocks.append(attributes)
+        blocks.append(np.array(rows))
 
     if blocks:
         full = np.concatenate(blocks, axis=1)
-        return [full[nodes] for nodes in members]
+        per_graph = [np.zeros((a.shape[0], full.shape[1])) for a in adjacencies]
+        for node in range(len(indicator)):
+            per_graph[node_graph[node]][node_local[node]] = full[node]
+        return per_graph
     return [a.sum(axis=1, keepdims=True) for a in adjacencies]
 
 
