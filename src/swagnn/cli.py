@@ -15,11 +15,12 @@ import json
 import os
 import sys
 
+from .augment import rank0_certified
 from .errors import ConfigError, SwagError
 from .reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
                         fold_csv, load_checkpoint, load_result, save_checkpoint,
                         save_result, summarize)
-from .training import (PretrainResult, TrainConfig, ablate, adapt,
+from .training import (PretrainResult, TrainConfig, ablate, adapt, load_dataset,
                        pretrain_ssl, train_supervised)
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
@@ -89,16 +90,24 @@ def _save_run(result, cfg: TrainConfig):
     print(f"wrote {cfg.out}/result.json, folds.csv, checkpoint.npz")
 
 
-def _load_pretrained(path: str) -> PretrainResult:
-    fold_params, fold_heads, config = load_checkpoint(path)
-    return PretrainResult(fold_params, fold_heads, [], config)
-
-
 def _pretrained_for(args: argparse.Namespace, cfg: TrainConfig) -> PretrainResult:
     if getattr(args, "checkpoint", None):
-        return _load_pretrained(args.checkpoint)
+        fold_params, fold_heads, config = load_checkpoint(args.checkpoint, expect=cfg)
+        return PretrainResult(fold_params, fold_heads, [], config)
     pre_cfg = dataclasses.replace(cfg, mode="pretrain")
     return pretrain_ssl(pre_cfg, epochs=getattr(args, "pretrain_epochs", None))
+
+
+def _report_rank0(dataset, tau: float):
+    """Print how many graphs the row-sum certificate puts at LGA rank 0
+    (their positives are empty graphs); warn when that is all of them."""
+    certified = sum(rank0_certified(g.adjacency, tau) for g in dataset.graphs)
+    total = len(dataset.graphs)
+    print(f"lga tau={tau:g}: {certified} of {total} graphs "
+          f"({certified / max(total, 1):.0%}) certified rank 0")
+    if total and certified == total:
+        print(f"warning: at tau={tau:g} every LGA positive is the empty graph; "
+              f"a smaller tau keeps spectral components", file=sys.stderr)
 
 
 def _parse_values(parameter: str, text: str) -> list:
@@ -119,7 +128,10 @@ def cmd_train(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = build_config(args, mode="pretrain")
-    pre = pretrain_ssl(cfg)
+    dataset = load_dataset(cfg)
+    if cfg.augmenter == "lga":
+        _report_rank0(dataset, cfg.tau)
+    pre = pretrain_ssl(cfg, dataset)
     for fold, curve in enumerate(pre.loss_curves):
         print(f"fold {fold}: final loss {curve[-1]:.6f}")
     if cfg.out:
@@ -145,7 +157,11 @@ def cmd_adapt(args, mode: str) -> int:
 def cmd_ablate(args) -> int:
     cfg = build_config(args)
     values = _parse_values(args.param, args.values)
-    results = ablate(cfg, args.param, values,
+    dataset = load_dataset(cfg)
+    if args.param == "tau":
+        for tau in values:
+            _report_rank0(dataset, tau)
+    results = ablate(cfg, args.param, values, dataset,
                      pretrain_epochs=args.pretrain_epochs)
     for value, result in zip(values, results):
         print(f"{args.param}={value}: accuracy {result.mean_accuracy:.4f} "

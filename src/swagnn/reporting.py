@@ -17,7 +17,7 @@ from .errors import ConfigError, LoadError
 from .graphs import Dataset, Graph, write_tu_dataset
 from .kernel import SwagParams, hidden_adjacency
 from .ssl import TwoLayerMLP
-from .training import RunResult, TrainConfig, load_dataset
+from .training import ENCODER_FIELDS, RunResult, TrainConfig, load_dataset
 
 _RESULT_FIELDS = [f.name for f in dataclasses.fields(RunResult)
                   if f.name != "fold_states"]
@@ -92,13 +92,21 @@ def save_checkpoint(path: str, fold_params: list, fold_heads: list, config: dict
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path: str):
-    """Returns (fold_params, fold_heads, config); heads may be None."""
+def load_checkpoint(path: str, expect: TrainConfig = None):
+    """Returns (fold_params, fold_heads, config); heads may be None.  With
+    ``expect``, the stored config must agree with it on every encoder
+    field, or ConfigError names the first that differs."""
     try:
         archive = np.load(path)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     config = json.loads(str(archive["__config__"]))
+    if expect is not None:
+        for name in ENCODER_FIELDS:
+            stored, wanted = config.get(name), getattr(expect, name)
+            if stored != wanted:
+                raise ConfigError(f"{path}: the checkpoint's encoder has {name}={stored!r} "
+                                  f"but the config asks for {name}={wanted!r}")
     folds = set()
     for key in archive.files:
         if key.startswith("fold"):

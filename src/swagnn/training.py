@@ -41,6 +41,10 @@ from .augment import make_augmenter
 
 PREDICTOR_HIDDEN = 32
 TAU_GUIDANCE = (0.3, 4.2)
+# the TrainConfig fields that kernel_config() turns into the encoder: a
+# saved encoder only fits a config that agrees on every one of them
+ENCODER_FIELDS = ("hidden_graphs", "hidden_nodes", "hidden_dim", "walk_len",
+                  "diff_steps", "alpha")
 
 
 @dataclass

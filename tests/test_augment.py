@@ -12,9 +12,9 @@ from swagnn.augment import (
     edge_drop_baseline,
     generate_sbm,
     make_augmenter,
+    rank0_certified,
     sample_augmentation,
     sbm_probability_matrix,
-    _round_robin,
     symmetric_eig,
     usvt_estimate,
     usvt_with_rank,
@@ -30,6 +30,19 @@ def complete_graph(n):
     return g
 
 
+def cycle(n):
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+    return a
+
+
+def reconstruct(dec):
+    """The sum of the decomposition's eigenpairs, lambda u u^T."""
+    u = dec.eigenvectors
+    return (u * dec.eigenvalues) @ u.T
+
+
 # ---------------------------------------------------------------------------
 # eigendecomposition
 # ---------------------------------------------------------------------------
@@ -42,7 +55,7 @@ def test_eig_swap_matrix():
 def test_eig_identity():
     dec = symmetric_eig(np.eye(3))
     np.testing.assert_allclose(dec.eigenvalues, np.ones(3), atol=1e-12)
-    np.testing.assert_allclose(dec.reconstruct(), np.eye(3), atol=1e-8)
+    np.testing.assert_allclose(reconstruct(dec), np.eye(3), atol=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -52,7 +65,7 @@ def test_eig_reconstruction_random(seed):
     a = rng.standard_normal((m, m))
     a = a + a.T
     dec = symmetric_eig(a)
-    rec = dec.reconstruct()
+    rec = reconstruct(dec)
     assert np.linalg.norm(rec - a) <= 1e-8 * np.linalg.norm(a)
     gram = dec.eigenvectors.T @ dec.eigenvectors
     np.testing.assert_allclose(gram, np.eye(m), atol=1e-8)
@@ -81,7 +94,7 @@ def assert_matches_eigh(a):
     m = a.shape[0]
     np.testing.assert_allclose(np.sort(dec.eigenvalues), np.linalg.eigvalsh(a),
                                rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dec.reconstruct(), a, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(reconstruct(dec), a, rtol=0, atol=1e-10)
     np.testing.assert_allclose(dec.eigenvectors.T @ dec.eigenvectors, np.eye(m),
                                rtol=0, atol=1e-10)
     mags = np.abs(dec.eigenvalues)
@@ -100,6 +113,33 @@ def test_eig_matches_eigh_repeated_eigenvalue(n):
     assert_matches_eigh(complete_graph(n).adjacency)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_eig_matches_eigh_clustered_eigenvalues(seed):
+    # a dense matrix whose tridiagonal form does not split but holds
+    # clusters of equal and near-equal eigenvalues
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+    values = np.repeat([3.0, 1.0, -2.0, 0.5], 6) + 1e-13 * rng.standard_normal(24)
+    a = (q * values) @ q.T
+    a = 0.5 * (a + a.T)
+    assert_matches_eigh(a)
+    dec = symmetric_eig(a, threshold=1.5)
+    assert len(dec.eigenvalues) == 12
+    u = dec.eigenvectors
+    np.testing.assert_allclose(u.T @ u, np.eye(12), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(reconstruct(dec), (q[:, values**2 > 2] * values[values**2 > 2])
+                               @ q[:, values**2 > 2].T, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, k", [(19, 2), (25, 8), (37, 2), (34, 11)])
+def test_eig_matches_eigh_complete_bipartite(n, k):
+    # eigenvalue 0 n - 2 times: after two steps the reduction meets
+    # columns of rounding-level entries that shrink towards underflow
+    a = np.zeros((n, n))
+    a[:k, k:] = a[k:, :k] = 1.0
+    assert_matches_eigh(a)
+
+
 def test_eig_matches_eigh_disconnected_and_zero():
     a = np.zeros((9, 9))
     for u, v in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]:  # triangle, path, 2 isolated
@@ -108,14 +148,51 @@ def test_eig_matches_eigh_disconnected_and_zero():
     assert_matches_eigh(np.zeros((6, 6)))
 
 
-@pytest.mark.parametrize("m", range(1, 10))
-def test_round_robin_meets_every_pair_once(m):
-    pairs = []
-    for p, q in _round_robin(m):
-        assert len(set(p) | set(q)) == 2 * len(p)  # disjoint within a round
-        assert np.all(p < q)
-        pairs.extend(zip(p.tolist(), q.tolist()))
-    assert sorted(pairs) == [(p, q) for p in range(m) for q in range(p + 1, m)]
+def block_diagonal(*blocks):
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((1, 1)), np.array([[3.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[2.0, 0.0], [0.0, -1.0]]),
+    block_diagonal(complete_graph(3).adjacency, cycle(4), np.zeros((2, 2))), np.zeros((5, 5)),
+], ids=["1-zero", "1", "2", "2-diagonal", "block-diagonal", "zero"])
+def test_eig_small_and_block_diagonal_inputs(a):
+    assert_matches_eigh(a)
+    for threshold in (0.5, 1.5, 2.5):
+        dec = symmetric_eig(a, threshold=threshold)
+        want = np.linalg.eigvalsh(a)
+        np.testing.assert_allclose(np.sort(dec.eigenvalues), want[np.abs(want) >= threshold],
+                                   rtol=0, atol=1e-12)
+        assert dec.eigenvectors.shape == (len(a), len(dec.eigenvalues))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eig_thresholded_pairs_match_full_decomposition(seed):
+    g = generate_sbm([15, 20, 25], 0.7, 0.1, seed=seed)
+    full = symmetric_eig(g.adjacency)
+    threshold = 0.5 * math.sqrt(g.n)
+    part = symmetric_eig(g.adjacency, threshold=threshold)
+    kept = np.abs(full.eigenvalues) >= threshold
+    assert 0 < len(part.eigenvalues) == kept.sum() < g.n
+    np.testing.assert_allclose(part.eigenvalues, full.eigenvalues[kept], rtol=0, atol=1e-12)
+    # equal up to sign: these eigenvalues are simple
+    signs = np.sign(np.sum(part.eigenvectors * full.eigenvectors[:, kept], axis=0))
+    np.testing.assert_allclose(part.eigenvectors * signs, full.eigenvectors[:, kept],
+                               rtol=0, atol=1e-10)
+
+
+def test_eig_is_bitwise_reproducible():
+    a = generate_sbm([30, 30, 30], 0.8, 0.1, seed=7).adjacency
+    first, again = symmetric_eig(a, threshold=3.0), symmetric_eig(a, threshold=3.0)
+    np.testing.assert_array_equal(first.eigenvalues, again.eigenvalues)
+    np.testing.assert_array_equal(first.eigenvectors, again.eigenvectors)
+    np.testing.assert_array_equal(usvt_estimate(a, 0.5), usvt_estimate(a, 0.5))
 
 
 def test_eig_rejects_asymmetric():
@@ -123,6 +200,8 @@ def test_eig_rejects_asymmetric():
         symmetric_eig(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ContractError):
         symmetric_eig(np.ones((2, 3)))
+    with pytest.raises(ContractError):
+        symmetric_eig(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +252,45 @@ def test_usvt_ties_are_kept():
     assert rank == 2
 
 
+def test_usvt_degenerate_eigenvalue_on_threshold_is_kept_whole():
+    # K_4 at tau 0.5: threshold 1.0 and eigenvalue -1 three times; all of
+    # that eigenspace is kept, so theta is K_4 itself
+    theta, rank = usvt_with_rank(complete_graph(4).adjacency, tau=0.5)
+    assert rank == 4
+    np.testing.assert_allclose(theta, complete_graph(4).adjacency, rtol=0, atol=1e-12)
+
+
+def ring_with_isolated_nodes(ring, n):
+    a = np.zeros((n, n))
+    a[:ring, :ring] = cycle(ring)
+    return a
+
+
+@pytest.mark.parametrize("a, tau, rank", [
+    (complete_graph(4).adjacency, 0.5, 4),
+    (cycle(6), 1 / math.sqrt(6), 6),                      # 2, 1, 1, -1, -1, -2 on 1.0
+    (ring_with_isolated_nodes(6, 16), 0.5, 2),             # +-2 on 0.5 * sqrt(16)
+    (cycle(16), 0.5, 2),                                    # the row sum sits on it
+    (np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]), 0.5, 4),
+], ids=["K4", "C6", "ring+isolated", "C16", "2K2"])
+def test_usvt_tie_rank_is_permutation_invariant(a, tau, rank):
+    assert not rank0_certified(a, tau)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        perm = rng.permutation(len(a))
+        assert usvt_with_rank(a[np.ix_(perm, perm)], tau)[1] == rank
+
+
+def test_usvt_three_equal_blocks_match_eigh():
+    for seed in range(3):
+        a = generate_sbm([40, 40, 40], 0.8, 0.1, seed=[9, seed]).adjacency
+        theta, rank = usvt_with_rank(a, 1.0)
+        want_theta, want_rank = usvt_eigh(a, 1.0)
+        assert rank == want_rank == 3
+        np.testing.assert_allclose(theta, want_theta, rtol=0, atol=1e-12)
+
+
 def usvt_eigh(a, tau):
     w, v = np.linalg.eigh(a)
     keep = np.abs(w) >= tau * math.sqrt(a.shape[0])
@@ -183,19 +301,12 @@ def usvt_eigh(a, tau):
 def count_eig_calls(monkeypatch):
     calls = []
 
-    def counted(a):
+    def counted(a, *args, **kwargs):
         calls.append(a.shape)
-        return symmetric_eig(a)
+        return symmetric_eig(a, *args, **kwargs)
 
     monkeypatch.setattr(augment, "symmetric_eig", counted)
     return calls
-
-
-def cycle(n):
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
-    return a
 
 
 @pytest.mark.parametrize("a", [cycle(10), generate_sbm([12, 12], 0.7, 0.1, seed=4).adjacency],

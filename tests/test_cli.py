@@ -136,6 +136,57 @@ def test_checkpoint_fold_count_mismatch(tmp_path, capsys):
     assert "fold count" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("pre"))
+    assert run_cli("pretrain", *TINY, "--epochs", "1", "--augmenter", "identity",
+                   "--out", out) == 0
+    return os.path.join(out, "pretrained.npz")
+
+
+@pytest.mark.parametrize("flag, value, stored", [
+    ("--hidden-graphs", "4", "2"), ("--hidden-nodes", "5", "4"), ("--hidden-dim", "6", "8"),
+    ("--walk-len", "3", "2"), ("--diff-steps", "2", "3"), ("--alpha", "0.3", "0.15")])
+def test_checkpoint_encoder_mismatch_is_a_config_error(tmp_path, capsys, tiny_checkpoint,
+                                                        flag, value, stored):
+    out = str(tmp_path / "ft")
+    assert run_cli("finetune", *TINY, flag, value, "--checkpoint", tiny_checkpoint,
+                   "--out", out) == 1
+    err = capsys.readouterr().err
+    field = flag[2:].replace("-", "_")
+    assert f"{field}={stored}" in err and f"{field}={value}" in err
+    assert not os.path.exists(os.path.join(out, "result.json"))
+
+
+def test_checkpoint_matching_config_loads(tmp_path, tiny_checkpoint):
+    out = str(tmp_path / "ft")
+    assert run_cli("finetune", *TINY, "--epochs", "1", "--checkpoint", tiny_checkpoint,
+                   "--out", out) == 0
+    assert json.load(open(os.path.join(out, "result.json")))["config"]["hidden_dim"] == 8
+
+
+def test_pretrain_reports_certified_rank0_share(capsys):
+    # toy graphs have 3 nodes and row sums <= 2 < 2.02 * sqrt(3)
+    assert run_cli("pretrain", *TINY, "--epochs", "1", "--augmenter", "lga") == 0
+    captured = capsys.readouterr()
+    assert "lga tau=2.02: 8 of 8 graphs (100%) certified rank 0" in captured.out
+    assert "every LGA positive is the empty graph" in captured.err
+    assert run_cli("pretrain", *TINY, "--epochs", "1", "--augmenter", "lga",
+                   "--tau", "0.5") == 0
+    captured = capsys.readouterr()
+    assert "lga tau=0.5: 0 of 8 graphs (0%) certified rank 0" in captured.out
+    assert "warning" not in captured.err
+
+
+def test_ablate_tau_reports_certified_rank0_share(capsys):
+    assert run_cli("ablate", *TINY, "--epochs", "1", "--pretrain-epochs", "1",
+                   "--param", "tau", "--values", "0.5,2.02") == 0
+    captured = capsys.readouterr()
+    assert "lga tau=0.5: 0 of 8 graphs (0%) certified rank 0" in captured.out
+    assert "lga tau=2.02: 8 of 8 graphs (100%) certified rank 0" in captured.out
+    assert captured.err.count("every LGA positive is the empty graph") == 1
+
+
 def test_ablate_writes_csv(tmp_path, capsys):
     out = str(tmp_path / "ab")
     assert run_cli("ablate", *TINY, "--epochs", "2", "--param", "num_hidden",
