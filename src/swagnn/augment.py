@@ -28,16 +28,6 @@ _MAX_PASSES = 80    # a pass shrinks each bracket 33-fold; 11 reach eps
 _MAX_INVERSE_ITERATIONS = 5
 
 
-@dataclass(frozen=True)
-class AugmenterConfig:
-    tau: float = 2.02
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"AugmenterConfig: tau must be positive, got {self.tau}")
-
-
 @dataclass
 class SpectralDecomposition:
     """Eigenpairs of a symmetric matrix, sorted by descending |eigenvalue|."""
@@ -310,6 +300,8 @@ def usvt_with_rank(a: np.ndarray, tau: float):
     Only the kept components are computed; when ``rank0_certified`` holds
     there are none and the decomposition is skipped.
     """
+    if not (tau > 0):
+        raise ConfigError(f"usvt_with_rank: tau must be positive, got {tau}")
     a = _check_symmetric(a, "usvt_with_rank")
     m = a.shape[0]
     if rank0_certified(a, tau):
@@ -347,16 +339,14 @@ def generate_sbm(block_sizes, intra: float, inter: float, seed) -> Graph:
     for p in (intra, inter):
         if not (0.0 <= p <= 1.0):
             raise ConfigError(f"generate_sbm: probability {p} outside [0,1]")
-    labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
-    same = labels[:, None] == labels[None, :]
-    theta = np.where(same, intra, inter).astype(np.float64)
-    adjacency = sample_augmentation(theta, seed)
+    adjacency = sample_augmentation(sbm_probability_matrix(block_sizes, intra, inter), seed)
     g = Graph(int(adjacency.shape[0]), adjacency, np.zeros((adjacency.shape[0], 1)))
     g.features = adjacency.sum(axis=1, keepdims=True)
     return g
 
 
 def sbm_probability_matrix(block_sizes, intra: float, inter: float) -> np.ndarray:
+    """Edge probability ``intra`` within a block and ``inter`` across blocks."""
     labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
     same = labels[:, None] == labels[None, :]
     return np.where(same, intra, inter).astype(np.float64)
@@ -389,7 +379,7 @@ class LgaAugmenter:
     name = "lga"
 
     def __init__(self, tau: float, seed: int = 0):
-        if tau <= 0:
+        if not (tau > 0):
             raise ConfigError(f"LgaAugmenter: tau must be positive, got {tau}")
         self.tau = tau
         self.seed = seed
@@ -431,8 +421,7 @@ class IdentityAugmenter:
         return g
 
 
-def make_augmenter(name: str, tau: float = 2.02, drop_rate: float = 0.2,
-                   seed: int = 0):
+def make_augmenter(name: str, *, tau: float, drop_rate: float, seed: int):
     if name == "lga":
         return LgaAugmenter(tau, seed)
     if name == "edge-drop":

@@ -4,10 +4,9 @@ Every operation records its inputs and a vector-Jacobian closure on the
 output node; ``backward`` replays the recorded graph once in reverse
 topological order.  The primitive set is intentionally small: matrix
 multiplication, (broadcast) addition, elementwise multiplication, scalar
-scaling, sigmoid, relu, transpose, concatenation/stacking, trace of a
-matrix product, row softmax and log-softmax, log, sum/mean reductions,
-row-wise L2 normalization and stop-gradient.  All arithmetic is double
-precision.
+scaling, sigmoid, relu, transpose, trace of a matrix product, row-wise
+log-softmax, sum/mean reductions, row-wise L2 normalization and
+stop-gradient.  All arithmetic is double precision.
 """
 
 from __future__ import annotations
@@ -81,9 +80,6 @@ class Tensor:
 
     def mean(self, axis=None):
         return reduce_mean(self, axis)
-
-    def log(self):
-        return log(self)
 
     def relu(self):
         return relu(self)
@@ -232,90 +228,6 @@ def transpose(a: Tensor) -> Tensor:
     return _node(a.data.T, (a,), vjp, "transpose")
 
 
-def concat(parts) -> Tensor:
-    """Concatenate scalars and 1-D tensors into a single 1-D tensor."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ContractError("concat: empty input list")
-    flats = []
-    for p in parts:
-        if p.data.ndim > 1:
-            raise ContractError(f"concat: expected scalars or vectors, got shape {p.data.shape}")
-        flats.append(np.atleast_1d(p.data))
-    out_data = np.concatenate(flats)
-    offsets = np.cumsum([0] + [f.size for f in flats])
-
-    def vjp(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                piece = g[lo:hi]
-                _accumulate(p, piece[0] if p.data.ndim == 0 else piece)
-
-    return _node(out_data, parts, vjp, "concat")
-
-
-def stack_rows(parts) -> Tensor:
-    """Stack equal-length 1-D tensors into a matrix, one per row."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ContractError("stack_rows: empty input list")
-    width = parts[0].data.shape
-    for p in parts:
-        if p.data.ndim != 1 or p.data.shape != width:
-            raise ContractError("stack_rows: all inputs must be 1-D of equal length")
-    out_data = np.stack([p.data for p in parts])
-
-    def vjp(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                _accumulate(p, g[i])
-
-    return _node(out_data, parts, vjp, "stack_rows")
-
-
-def concat_rows(parts) -> Tensor:
-    """Vertically concatenate 2-D tensors with matching column counts."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ContractError("concat_rows: empty input list")
-    cols = parts[0].data.shape[-1]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[1] != cols:
-            raise ContractError("concat_rows: all inputs must be 2-D with equal width")
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-    def vjp(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                _accumulate(p, g[offsets[i]:offsets[i + 1]])
-
-    return _node(out_data, parts, vjp, "concat_rows")
-
-
-def block_diag(parts) -> Tensor:
-    """Block-diagonal matrix from square 2-D tensors."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ContractError("block_diag: empty input list")
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != p.data.shape[1]:
-            raise ContractError("block_diag: all inputs must be square matrices")
-    sizes = [p.data.shape[0] for p in parts]
-    total = sum(sizes)
-    out_data = np.zeros((total, total))
-    offsets = np.cumsum([0] + sizes)
-    for i, p in enumerate(parts):
-        out_data[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = p.data
-
-    def vjp(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                _accumulate(p, g[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]])
-
-    return _node(out_data, parts, vjp, "block_diag")
-
-
 def trace_product(a: Tensor, b: Tensor) -> Tensor:
     """Scalar trace(a @ b) without materializing the product."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -333,28 +245,13 @@ def trace_product(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), vjp, "trace_product")
 
 
-def row_softmax(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ContractError(f"row_softmax: expected a matrix, got shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out_data).sum(axis=1, keepdims=True)
-        _accumulate(a, out_data * (g - inner))
-
-    return _node(out_data, (a,), vjp, "row_softmax")
-
-
 def log_softmax(a: Tensor) -> Tensor:
     """Row-wise log-softmax that stays finite wherever the logits are.
 
-    An entry whose probability is a normal float gets ``log`` of the
-    ``row_softmax`` probability, bit for bit; an entry so far below its
-    row maximum that the probability underflows gets the shifted
-    log-sum-exp, which keeps the gap instead of returning log(0).
+    An entry whose probability ``exp(x - max) / sum`` over its row is a
+    normal float gets ``log`` of that probability, bit for bit; an entry
+    so far below its row maximum that the probability underflows gets the
+    shifted log-sum-exp, which keeps the gap instead of returning log(0).
     """
     a = _as_tensor(a)
     if a.data.ndim != 2:
@@ -371,16 +268,6 @@ def log_softmax(a: Tensor) -> Tensor:
         _accumulate(a, g - probs * g.sum(axis=1, keepdims=True))
 
     return _node(out_data, (a,), vjp, "log_softmax")
-
-
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.log(a.data)
-
-    def vjp(g):
-        _accumulate(a, g / a.data)
-
-    return _node(out_data, (a,), vjp, "log")
 
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:

@@ -113,9 +113,12 @@ def _report_rank0(dataset, tau: float):
 def _parse_values(parameter: str, text: str) -> list:
     cast = float if parameter == "tau" else int
     try:
-        return [cast(part) for part in text.split(",") if part.strip()]
+        values = [cast(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"--values: cannot parse {text!r} as {cast.__name__}s") from exc
+    if parameter == "tau" and not all(value > 0 for value in values):
+        raise ConfigError(f"--values: every tau must be positive, got {text!r}")
+    return values
 
 
 def cmd_train(args) -> int:

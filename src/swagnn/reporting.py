@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -39,6 +40,10 @@ def load_result(path: str) -> RunResult:
             payload = json.load(fh)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise LoadError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise LoadError(f"{path}: expected a JSON object of result fields")
     missing = set(_RESULT_FIELDS) - set(payload)
     if missing:
         raise LoadError(f"{path}: missing result fields {sorted(missing)}")
@@ -95,12 +100,26 @@ def save_checkpoint(path: str, fold_params: list, fold_heads: list, config: dict
 def load_checkpoint(path: str, expect: TrainConfig = None):
     """Returns (fold_params, fold_heads, config); heads may be None.  With
     ``expect``, the stored config must agree with it on every encoder
-    field, or ConfigError names the first that differs."""
+    field, or ConfigError names the first that differs.  A file that is
+    not such an archive raises LoadError."""
     try:
-        archive = np.load(path)
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise LoadError(f"{path}: not an npz archive")
+        with archive:
+            entries = {key: archive[key] for key in archive.files}
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
-    config = json.loads(str(archive["__config__"]))
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise LoadError(f"{path}: not a readable npz archive: {exc}") from exc
+    if "__config__" not in entries:
+        raise LoadError(f"{path}: no __config__ entry, so not a swagnn checkpoint")
+    try:
+        config = json.loads(str(entries["__config__"]))
+    except ValueError as exc:
+        raise LoadError(f"{path}: __config__ is not JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise LoadError(f"{path}: __config__ is not a JSON object")
     if expect is not None:
         for name in ENCODER_FIELDS:
             stored, wanted = config.get(name), getattr(expect, name)
@@ -108,18 +127,22 @@ def load_checkpoint(path: str, expect: TrainConfig = None):
                 raise ConfigError(f"{path}: the checkpoint's encoder has {name}={stored!r} "
                                   f"but the config asks for {name}={wanted!r}")
     folds = set()
-    for key in archive.files:
-        if key.startswith("fold"):
-            folds.add(int(key.split("/", 1)[0][4:]))
+    for key in entries:
+        name = key.split("/", 1)[0]
+        if name.startswith("fold") and name[4:].isdigit():
+            folds.add(int(name[4:]))
     fold_params, fold_heads = [], []
     for fold in sorted(folds):
         enc_prefix, head_prefix = f"fold{fold}/enc/", f"fold{fold}/head/"
-        enc_state = {key[len(enc_prefix):]: archive[key]
-                     for key in archive.files if key.startswith(enc_prefix)}
-        fold_params.append(SwagParams.from_state(enc_state))
-        head_state = {key[len(head_prefix):]: archive[key]
-                      for key in archive.files if key.startswith(head_prefix)}
-        fold_heads.append(TwoLayerMLP.from_state(head_state) if head_state else None)
+        enc_state = {key[len(enc_prefix):]: value
+                     for key, value in entries.items() if key.startswith(enc_prefix)}
+        head_state = {key[len(head_prefix):]: value
+                      for key, value in entries.items() if key.startswith(head_prefix)}
+        try:
+            fold_params.append(SwagParams.from_state(enc_state))
+            fold_heads.append(TwoLayerMLP.from_state(head_state) if head_state else None)
+        except KeyError as exc:
+            raise LoadError(f"{path}: fold {fold} has no {exc.args[0]!r} entry") from exc
     if not fold_params:
         raise LoadError(f"{path}: no fold parameters found")
     if any(h is None for h in fold_heads):
@@ -156,11 +179,6 @@ def export_hidden_graphs(params: SwagParams, threshold: float = 0.5,
             fh.write("\n".join(lines) + "\n")
         written.extend([json_path, dot_path])
     return written
-
-
-def load_hidden_json(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return np.array(json.load(fh)["weights"])
 
 
 # ---------------------------------------------------------------------------

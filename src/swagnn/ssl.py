@@ -78,9 +78,6 @@ class ProjectionHead(TwoLayerMLP):
         return cls.init(input_dim, cls.WIDTH, cls.WIDTH, rng)
 
 
-PredictionHead = ProjectionHead
-
-
 @dataclass
 class SSLBatch:
     """Paired anchor/positive encodings; row i of each side belongs together."""
@@ -115,17 +112,15 @@ def make_ssl_batch(graphs: list, augmenter, params: SwagParams, cfg: KernelConfi
 # losses
 # ---------------------------------------------------------------------------
 
-def infonce_from_similarities(sim: Tensor, literal: bool = False) -> Tensor:
+def infonce_from_similarities(sim: Tensor) -> Tensor:
     """Mean negative log-probability of each diagonal entry under a row
-    softmax.  ``literal`` returns the mean probability itself instead."""
+    softmax."""
     eye = ad.constant(np.eye(sim.data.shape[0]))
-    if literal:
-        return ad.reduce_sum(ad.row_softmax(sim) * eye, axis=1).mean()
     diag = ad.reduce_sum(ad.log_softmax(sim) * eye, axis=1)
     return ad.scale(diag.mean(), -1.0)
 
 
-def infonce_loss(batch: SSLBatch, head, literal: bool = False) -> Tensor:
+def infonce_loss(batch: SSLBatch, head) -> Tensor:
     """Contrastive loss with in-batch negatives.
 
     Each anchor's positive must win a softmax over the positives of the
@@ -135,7 +130,7 @@ def infonce_loss(batch: SSLBatch, head, literal: bool = False) -> Tensor:
         raise ContractError("infonce_loss: need at least 2 pairs for in-batch negatives")
     z_a = head(batch.anchors)
     z_p = head(batch.positives)
-    return infonce_from_similarities(z_a @ z_p.transpose(), literal=literal)
+    return infonce_from_similarities(z_a @ z_p.transpose())
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -143,16 +138,11 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     return ad.reduce_sum(ad.l2_normalize(a) * ad.l2_normalize(b), axis=1)
 
 
-def noncontrastive_loss(batch: SSLBatch, head, literal: bool = False) -> Tensor:
+def noncontrastive_loss(batch: SSLBatch, head) -> Tensor:
     """Negative mean cosine between each head output and the stop-gradient
-    head output of its positive; gradient flows through the anchor side only.
-
-    ``literal`` keeps the raw inner product instead of the cosine (and flips
-    no sign), matching the maximization form."""
+    head output of its positive; gradient flows through the anchor side only."""
     if batch.size < 1:
         raise ContractError("noncontrastive_loss: empty batch")
     z_a = head(batch.anchors)
     z_p = ad.stop_gradient(head(batch.positives))
-    if literal:
-        return ad.reduce_sum(z_a * z_p, axis=1).mean()
     return ad.scale(cosine_rows(z_a, z_p).mean(), -1.0)

@@ -78,8 +78,10 @@ class TrainConfig:
             raise ConfigError(f"TrainConfig: epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
+        if not (self.lr > 0):
             raise ConfigError(f"TrainConfig: lr must be positive, got {self.lr}")
+        if not (self.tau > 0):
+            raise ConfigError(f"TrainConfig: tau must be positive, got {self.tau}")
 
     def kernel_config(self) -> KernelConfig:
         return KernelConfig(num_hidden=self.hidden_graphs,
@@ -395,16 +397,6 @@ def adapt(pretrained: PretrainResult, cfg: TrainConfig,
                                  train_encoder=(cfg.mode == "finetune")))
     return RunResult.aggregate(results, cfg.to_dict(), cfg.mode,
                                time.perf_counter() - start)
-
-
-def adapt_best(pretrained: PretrainResult, cfg: TrainConfig,
-               dataset: Dataset = None) -> RunResult:
-    """Run probe and finetune, report whichever validates better."""
-    outcomes = []
-    for mode in ("probe", "finetune"):
-        mode_cfg = dataclasses.replace(cfg, mode=mode)
-        outcomes.append(adapt(pretrained, mode_cfg, dataset))
-    return max(outcomes, key=lambda r: float(np.mean(r.val_accuracies)))
 
 
 # ---------------------------------------------------------------------------

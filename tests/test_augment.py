@@ -5,7 +5,6 @@ import pytest
 
 from swagnn import augment
 from swagnn.augment import (
-    AugmenterConfig,
     EdgeDropAugmenter,
     IdentityAugmenter,
     LgaAugmenter,
@@ -21,6 +20,7 @@ from swagnn.augment import (
 )
 from swagnn.errors import ConfigError, ContractError
 from swagnn.graphs import Graph, degree_features
+from swagnn.training import TrainConfig
 
 
 def complete_graph(n):
@@ -327,11 +327,18 @@ def test_usvt_rank0_bound_matches_eigh(monkeypatch, a, side):
 def test_usvt_certified_rank0_skips_decomposition(monkeypatch):
     # a molecule-sized ring at the default tau: degree 2 < 2.02*sqrt(18)
     calls = count_eig_calls(monkeypatch)
-    theta, rank = usvt_with_rank(cycle(18), AugmenterConfig().tau)
+    theta, rank = usvt_with_rank(cycle(18), TrainConfig().tau)
     assert rank == 0 and not calls
     np.testing.assert_array_equal(theta, np.zeros((18, 18)))
     with pytest.raises(ContractError):
         usvt_with_rank(np.array([[0.0, 0.1], [0.0, 0.0]]), 2.02)
+
+
+@pytest.mark.parametrize("tau", [math.nan, -1.0, 0.0])
+def test_usvt_rejects_a_tau_that_is_nan_or_not_positive(tau):
+    # a NaN threshold compares false everywhere and would keep every component
+    with pytest.raises(ConfigError):
+        usvt_with_rank(generate_sbm([10, 10], 0.8, 0.2, seed=0).adjacency, tau)
 
 
 def test_usvt_fixed_point_complete_graph():
@@ -485,17 +492,18 @@ def test_identity_augmenter():
 
 
 def test_make_augmenter():
-    assert isinstance(make_augmenter("lga", tau=1.0), LgaAugmenter)
-    assert isinstance(make_augmenter("edge-drop", drop_rate=0.1), EdgeDropAugmenter)
-    assert isinstance(make_augmenter("identity"), IdentityAugmenter)
+    knobs = dict(tau=1.0, drop_rate=0.1, seed=0)
+    assert isinstance(make_augmenter("lga", **knobs), LgaAugmenter)
+    assert isinstance(make_augmenter("edge-drop", **knobs), EdgeDropAugmenter)
+    assert isinstance(make_augmenter("identity", **knobs), IdentityAugmenter)
     with pytest.raises(ConfigError):
-        make_augmenter("shuffle")
+        make_augmenter("shuffle", **knobs)
 
 
 def test_augmenter_config_validation():
     with pytest.raises(ConfigError):
-        AugmenterConfig(tau=0.0)
-    with pytest.raises(ConfigError):
         LgaAugmenter(tau=-1.0)
+    with pytest.raises(ConfigError):
+        LgaAugmenter(tau=math.nan)
     with pytest.raises(ConfigError):
         EdgeDropAugmenter(1.5)

@@ -17,6 +17,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_train_writes_reports(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run_cli("train", *TINY, "--out", out) == 0
@@ -24,7 +29,7 @@ def test_train_writes_reports(tmp_path, capsys):
     assert "accuracy" in stdout
     for name in ("result.json", "folds.csv", "checkpoint.npz"):
         assert os.path.isfile(os.path.join(out, name))
-    payload = json.load(open(os.path.join(out, "result.json")))
+    payload = read_json(os.path.join(out, "result.json"))
     assert payload["mode"] == "supervised"
     # reported statistics recompute from the per-fold entries
     accs = payload["fold_accuracies"]
@@ -36,8 +41,8 @@ def test_train_is_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     run_cli("train", *TINY, "--out", out1)
     run_cli("train", *TINY, "--out", out2)
-    r1 = json.load(open(os.path.join(out1, "result.json")))
-    r2 = json.load(open(os.path.join(out2, "result.json")))
+    r1 = read_json(os.path.join(out1, "result.json"))
+    r2 = read_json(os.path.join(out2, "result.json"))
     assert r1["fold_accuracies"] == r2["fold_accuracies"]
     assert r1["loss_curves"] == r2["loss_curves"]
 
@@ -51,7 +56,7 @@ def test_config_file_with_flag_override(tmp_path):
     out = str(tmp_path / "run")
     assert run_cli("train", "--config", str(cfg_path), "--seed", "5",
                    "--out", out) == 0
-    saved = json.load(open(os.path.join(out, "result.json")))["config"]
+    saved = read_json(os.path.join(out, "result.json"))["config"]
     assert saved["epochs"] == 2      # from the file
     assert saved["seed"] == 5        # flag wins
     assert saved["hidden_graphs"] == 2
@@ -100,7 +105,7 @@ def test_pretrain_writes_checkpoint(tmp_path, capsys):
                    "identity", "--out", out) == 0
     assert "final loss" in capsys.readouterr().out
     assert os.path.isfile(os.path.join(out, "pretrained.npz"))
-    curves = json.load(open(os.path.join(out, "loss_curves.json")))
+    curves = read_json(os.path.join(out, "loss_curves.json"))
     assert len(curves) == 2 and len(curves[0]) == 2
 
 
@@ -111,7 +116,7 @@ def test_probe_from_checkpoint(tmp_path):
     out = str(tmp_path / "probe")
     assert run_cli("probe", *TINY, "--checkpoint",
                    os.path.join(pre_out, "pretrained.npz"), "--out", out) == 0
-    payload = json.load(open(os.path.join(out, "result.json")))
+    payload = read_json(os.path.join(out, "result.json"))
     assert payload["mode"] == "probe"
     assert len(payload["fold_accuracies"]) == 2
 
@@ -120,7 +125,7 @@ def test_finetune_pretrains_internally(tmp_path):
     out = str(tmp_path / "ft")
     assert run_cli("finetune", *TINY, "--augmenter", "identity",
                    "--pretrain-epochs", "1", "--out", out) == 0
-    payload = json.load(open(os.path.join(out, "result.json")))
+    payload = read_json(os.path.join(out, "result.json"))
     assert payload["mode"] == "finetune"
 
 
@@ -162,7 +167,7 @@ def test_checkpoint_matching_config_loads(tmp_path, tiny_checkpoint):
     out = str(tmp_path / "ft")
     assert run_cli("finetune", *TINY, "--epochs", "1", "--checkpoint", tiny_checkpoint,
                    "--out", out) == 0
-    assert json.load(open(os.path.join(out, "result.json")))["config"]["hidden_dim"] == 8
+    assert read_json(os.path.join(out, "result.json"))["config"]["hidden_dim"] == 8
 
 
 def test_pretrain_reports_certified_rank0_share(capsys):
@@ -193,7 +198,8 @@ def test_ablate_writes_csv(tmp_path, capsys):
                    "--values", "2,3", "--out", out) == 0
     stdout = capsys.readouterr().out
     assert "num_hidden=2" in stdout and "num_hidden=3" in stdout
-    lines = open(os.path.join(out, "ablation.csv")).read().strip().splitlines()
+    with open(os.path.join(out, "ablation.csv")) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "value,mean_accuracy,std_accuracy"
     assert len(lines) == 3
 
@@ -208,7 +214,7 @@ def test_augment_identity(tmp_path):
     assert run_cli("augment", *TINY, "--augmenter", "identity",
                    "--out", out) == 0
     assert os.path.isfile(os.path.join(out, "toy_A.txt"))
-    manifest = json.load(open(os.path.join(out, "toy_augmentation.json")))
+    manifest = read_json(os.path.join(out, "toy_augmentation.json"))
     assert manifest["augmenter"] == "identity"
 
 
@@ -244,12 +250,71 @@ def test_report_round_trip(tmp_path, capsys):
     assert run_cli("report", os.path.join(run_dir, "result.json"),
                    "--csv", csv_path) == 0
     assert "accuracy" in capsys.readouterr().out
-    assert open(csv_path).readline().startswith("fold,accuracy")
+    with open(csv_path) as fh:
+        assert fh.readline().startswith("fold,accuracy")
 
 
 def test_report_missing_file(tmp_path, capsys):
     assert run_cli("report", str(tmp_path / "nope.json")) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_report_malformed_json_is_a_load_error(tmp_path, capsys):
+    path = tmp_path / "result.json"
+    path.write_text('{"mode": "supervised",')
+    assert run_cli("report", str(path)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not a JSON file")
+
+
+def write_not_npz(path, checkpoint):
+    path.write_text("not an archive\n")
+
+
+def write_without_config(path, checkpoint):
+    np.savez(path, weights=np.ones(3))
+
+
+def write_foreign_fold_key(path, checkpoint):
+    np.savez(path, __config__=np.array("{}"), **{"foldx/enc/fm_weight": np.ones(2)})
+
+
+def write_without_hidden_features(path, checkpoint):
+    with np.load(checkpoint) as archive:
+        entries = {key: archive[key] for key in archive.files}
+    del entries["fold0/enc/hg0_features"]
+    np.savez(path, **entries)
+
+
+@pytest.mark.parametrize("write, message", [
+    pytest.param(write_not_npz, "not a readable npz archive", id="not-npz"),
+    pytest.param(write_without_config, "no __config__ entry", id="no-config"),
+    pytest.param(write_foreign_fold_key, "no fold parameters found", id="foreign-fold-key"),
+    pytest.param(write_without_hidden_features, "fold 0 has no 'hg0_features' entry",
+                 id="no-hidden-features")])
+def test_unreadable_checkpoint_is_a_load_error(tmp_path, capsys, tiny_checkpoint,
+                                               write, message):
+    path = tmp_path / "bad.npz"
+    write(path, tiny_checkpoint)
+    assert run_cli("export-hidden", "--checkpoint", str(path),
+                   "--out", str(tmp_path / "hidden")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not (tmp_path / "hidden").exists()
+
+
+@pytest.mark.parametrize("tau", ["nan", "-1"])
+def test_augment_rejects_a_tau_that_is_nan_or_not_positive(tmp_path, capsys, tau):
+    out = tmp_path / "aug"
+    assert run_cli("augment", *TINY, "--augmenter", "lga", "--tau", tau,
+                   "--out", str(out)) == 1
+    assert "tau must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_rejects_a_nan_tau_before_the_rank0_report(capsys):
+    assert run_cli("ablate", *TINY, "--param", "tau", "--values", "0.5,nan") == 1
+    captured = capsys.readouterr()
+    assert "every tau must be positive" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_subcommand_exits_2():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swagnn import autodiff as ad
+from swagnn.autodiff import _accumulate, _as_tensor, _node
 from swagnn.errors import ConfigError, ContractError
 from swagnn.graphs import DiffusionConfig, Graph, diffuse
 from swagnn.kernel import (
@@ -18,6 +19,7 @@ from swagnn.kernel import (
     smoothed_kernel,
     swag_encode,
 )
+from test_autodiff import check_grads
 
 
 def random_graph(rng, n, d=2, edge_p=0.5):
@@ -268,13 +270,100 @@ def test_encode_numpy_matches_autodiff():
 # the fused encoder against its composition from autodiff primitives
 # ---------------------------------------------------------------------------
 
+# Layout primitives the tape composition needs and the library does not:
+# each records one tape node, like the primitives in ``swagnn.autodiff``.
+
+def concat(parts) -> ad.Tensor:
+    """Concatenate scalars and 1-D tensors into a single 1-D tensor."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts:
+        raise ContractError("concat: empty input list")
+    flats = []
+    for p in parts:
+        if p.data.ndim > 1:
+            raise ContractError(f"concat: expected scalars or vectors, got shape {p.data.shape}")
+        flats.append(np.atleast_1d(p.data))
+    out_data = np.concatenate(flats)
+    offsets = np.cumsum([0] + [f.size for f in flats])
+
+    def vjp(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                piece = g[lo:hi]
+                _accumulate(p, piece[0] if p.data.ndim == 0 else piece)
+
+    return _node(out_data, parts, vjp, "concat")
+
+
+def stack_rows(parts) -> ad.Tensor:
+    """Stack equal-length 1-D tensors into a matrix, one per row."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts:
+        raise ContractError("stack_rows: empty input list")
+    width = parts[0].data.shape
+    for p in parts:
+        if p.data.ndim != 1 or p.data.shape != width:
+            raise ContractError("stack_rows: all inputs must be 1-D of equal length")
+    out_data = np.stack([p.data for p in parts])
+
+    def vjp(g):
+        for i, p in enumerate(parts):
+            if p.requires_grad:
+                _accumulate(p, g[i])
+
+    return _node(out_data, parts, vjp, "stack_rows")
+
+
+def concat_rows(parts) -> ad.Tensor:
+    """Vertically concatenate 2-D tensors with matching column counts."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts:
+        raise ContractError("concat_rows: empty input list")
+    cols = parts[0].data.shape[-1]
+    for p in parts:
+        if p.data.ndim != 2 or p.data.shape[1] != cols:
+            raise ContractError("concat_rows: all inputs must be 2-D with equal width")
+    out_data = np.concatenate([p.data for p in parts], axis=0)
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+    def vjp(g):
+        for i, p in enumerate(parts):
+            if p.requires_grad:
+                _accumulate(p, g[offsets[i]:offsets[i + 1]])
+
+    return _node(out_data, parts, vjp, "concat_rows")
+
+
+def block_diag(parts) -> ad.Tensor:
+    """Block-diagonal matrix from square 2-D tensors."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts:
+        raise ContractError("block_diag: empty input list")
+    for p in parts:
+        if p.data.ndim != 2 or p.data.shape[0] != p.data.shape[1]:
+            raise ContractError("block_diag: all inputs must be square matrices")
+    sizes = [p.data.shape[0] for p in parts]
+    total = sum(sizes)
+    out_data = np.zeros((total, total))
+    offsets = np.cumsum([0] + sizes)
+    for i, p in enumerate(parts):
+        out_data[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = p.data
+
+    def vjp(g):
+        for i, p in enumerate(parts):
+            if p.requires_grad:
+                _accumulate(p, g[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]])
+
+    return _node(out_data, parts, vjp, "block_diag")
+
+
 def tape_encode_batch(graphs, params, cfg):
-    """The encoder composed from ``ad`` primitives, one tape node per
-    operation: the arithmetic ``encode_batch`` must reproduce bit for bit,
+    """The encoder composed from tape primitives (``ad`` and the layout
+    ones above), one tape node per operation: the arithmetic ``encode_batch`` must reproduce bit for bit,
     and a second, independent derivation of its gradient."""
     m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
-    feats_all = ad.concat_rows([h.hidden_features for h in params.hidden_graphs])
-    bhid_all = ad.block_diag([hidden_adjacency(h) for h in params.hidden_graphs])
+    feats_all = concat_rows([h.hidden_features for h in params.hidden_graphs])
+    bhid_all = block_diag([hidden_adjacency(h) for h in params.hidden_graphs])
     right = [feats_all.transpose() @ bhid_all]
     for _ in range(P - 1):
         right.append(right[-1] @ bhid_all)
@@ -297,8 +386,46 @@ def tape_encode_batch(graphs, params, cfg):
             per_walk.append(ad.reduce_sum((left * (xm @ right[q])) @ group, axis=0))
             if q + 1 < P:
                 left = b @ left
-        rows.append(ad.concat(per_walk))
-    return ad.stack_rows(rows) @ perm
+        rows.append(concat(per_walk))
+    return stack_rows(rows) @ perm
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_concat_and_stack(seed):
+    rng = np.random.default_rng(600 + seed)
+    a = ad.parameter(rng.standard_normal(3))
+    b = ad.parameter(rng.standard_normal(2))
+    w = rng.standard_normal(5)
+    check_grads(lambda: (concat([a, b]) * ad.constant(w)).sum(), [a, b])
+    w2 = rng.standard_normal((2, 3))
+    c = ad.parameter(rng.standard_normal(3))
+    check_grads(lambda: (stack_rows([a, c]) * ad.constant(w2)).sum(), [a, c])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_concat_rows_and_block_diag(seed):
+    rng = np.random.default_rng(650 + seed)
+    a = ad.parameter(rng.standard_normal((2, 3)))
+    b = ad.parameter(rng.standard_normal((4, 3)))
+    w = rng.standard_normal((6, 3))
+    check_grads(lambda: (concat_rows([a, b]) * ad.constant(w)).sum(), [a, b])
+
+    c = ad.parameter(rng.standard_normal((2, 2)))
+    d = ad.parameter(rng.standard_normal((3, 3)))
+    w2 = rng.standard_normal((5, 5))
+    check_grads(lambda: (block_diag([c, d]) * ad.constant(w2)).sum(), [c, d])
+
+
+def test_block_diag_layout():
+    a = ad.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = ad.constant(np.array([[5.0]]))
+    out = block_diag([a, b]).data
+    expected = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.0]])
+    np.testing.assert_array_equal(out, expected)
+    with pytest.raises(ContractError):
+        block_diag([ad.constant(np.ones((2, 3)))])
+
+
 
 
 def edge_case_batch(rng, d):

@@ -9,12 +9,12 @@ from swagnn.errors import ConfigError, LoadError
 from swagnn.graphs import Dataset, Graph, load_tu_dataset
 from swagnn.kernel import KernelConfig, SwagParams, hidden_adjacency
 from swagnn.reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
-                              fold_csv, load_checkpoint, load_hidden_json,
-                              load_result, save_checkpoint, save_result,
-                              summarize)
+                              fold_csv, load_checkpoint, load_result,
+                              save_checkpoint, save_result, summarize)
 from swagnn.ssl import ProjectionHead
 from swagnn.training import (RunResult, TrainConfig, make_toy_dataset,
                              train_supervised)
+from test_cli import read_json
 
 
 def small_cfg(**kw):
@@ -142,7 +142,7 @@ def test_export_hidden_graphs(tmp_path):
     written = export_hidden_graphs(params, threshold=0.5, out=out)
     assert len(written) == 6
     for i in range(3):
-        weights = load_hidden_json(os.path.join(out, f"hidden_{i}.json"))
+        weights = np.array(read_json(os.path.join(out, f"hidden_{i}.json"))["weights"])
         expect = hidden_adjacency(params.hidden_graphs[i]).data
         assert np.max(np.abs(weights - expect)) <= 1e-12
         with open(os.path.join(out, f"hidden_{i}.dot")) as fh:
@@ -181,7 +181,7 @@ def test_augment_dataset_identity_preserves_edges(tmp_path):
     for orig, aug in zip(ds.graphs, back.graphs):
         assert edge_set(orig) == edge_set(aug)
         assert aug.label == orig.label
-    manifest = json.load(open(manifest_path))
+    manifest = read_json(manifest_path)
     assert manifest["augmenter"] == "identity"
     assert manifest["kept_ranks"] == [None] * len(ds)
 
@@ -190,7 +190,7 @@ def test_augment_dataset_lga_manifest(tmp_path):
     ds = make_toy_dataset()
     cfg = small_cfg(augmenter="lga", tau=0.3, out=str(tmp_path / "lga"))
     manifest_path = augment_dataset(cfg, dataset=ds)
-    manifest = json.load(open(manifest_path))
+    manifest = read_json(manifest_path)
     assert manifest["tau"] == 0.3
     assert manifest["seed"] == cfg.seed
     assert len(manifest["kept_ranks"]) == len(ds)
@@ -231,7 +231,7 @@ def test_augment_huge_tau_empties_graphs(tmp_path):
     ds = make_toy_dataset()
     cfg = small_cfg(augmenter="lga", tau=1e6, out=str(tmp_path / "huge"))
     manifest_path = augment_dataset(cfg, dataset=ds)
-    manifest = json.load(open(manifest_path))
+    manifest = read_json(manifest_path)
     assert manifest["kept_ranks"] == [0] * len(ds)
     back = load_tu_dataset(cfg.out, "toy")
     assert all(g.num_edges() == 0 for g in back.graphs)

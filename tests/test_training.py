@@ -17,7 +17,6 @@ from swagnn.training import (
     _run_fold,
     ablate,
     adapt,
-    adapt_best,
     make_toy_dataset,
     pretrain_ssl,
     softmax_cross_entropy,
@@ -65,6 +64,11 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
+    with pytest.raises(ConfigError):
+        TrainConfig(lr=float("nan"))
+    for tau in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ConfigError):
+            TrainConfig(tau=tau)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"dataset": "toy", "temperature": 0.1})
 
@@ -284,17 +288,6 @@ def test_adapt_validation():
                                 pre.loss_curves[:1], pre.config)
     with pytest.raises(ConfigError):
         adapt(mismatched, cfg, ds)
-
-
-def test_adapt_best_picks_better_validation():
-    ds = make_toy_dataset()
-    cfg = small_cfg(epochs=25, mode="probe", augmenter="lga", tau=1.0)
-    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=3)
-    best = adapt_best(pre, cfg, ds)
-    assert best.mode in ("probe", "finetune")
-    other_mode = "finetune" if best.mode == "probe" else "probe"
-    other = adapt(pre, dataclasses.replace(cfg, mode=other_mode), ds)
-    assert np.mean(best.val_accuracies) >= np.mean(other.val_accuracies)
 
 
 # ---------------------------------------------------------------------------
