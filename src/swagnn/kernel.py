@@ -5,6 +5,13 @@ random-walk kernel smoothed by graph diffusion.  The kernel value for
 walk length p is trace(B^p S B'^p S^T) with S the cross inner-product
 matrix between mapped input features and hidden features; the encoding
 concatenates these scalars for p = 1..P over all hidden graphs.
+
+With X~ = [X 1] and W~ = [W; b^T] (the feature map as one matrix) the
+kernel factors as <X~^T B^p X~, W~ F^T B'^p F W~^T>.  The forward does not
+use this (its rounding is pinned to the node-level products), but the
+backward does: it differentiates through each graph's (d+1) x (d+1) walk
+statistics, so ``encode_batch`` keeps nothing sized by the node count
+between the forward and the backward.
 """
 
 from __future__ import annotations
@@ -223,7 +230,13 @@ def smoothed_kernel(B, Xm, h: HiddenGraph, p: int) -> Tensor:
     return ad.trace_product(left, right)
 
 
-def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig, keep: bool):
+def _hidden_weights(raws: list) -> np.ndarray:
+    """M x m x m: the sigmoid of each hidden graph's symmetrised raw
+    weights, the hidden adjacency before its diagonal is masked."""
+    return np.stack([ad._sigmoid((r.data + r.data.T) * 0.5) for r in raws])
+
+
+def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.ndarray:
     """The one numpy evaluation behind every encoder entry point.
 
     All hidden graphs are merged into one block-diagonal system so the
@@ -231,9 +244,9 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig, keep: 
     concatenated hidden features F, the kernel for hidden graph h at walk
     length p is the block-h column sum of (B^p S) * (Xm F^T Bhid^p).  The
     column block sums go through a 0/1 ``group`` matmul, whose rounding
-    the encodings are pinned to.  Returns the len(graphs) x M*P encodings,
-    ordered hidden-graph-major, walk-length-minor, and, when ``keep`` is
-    set, the intermediates the backward pass needs.
+    the encodings are pinned to.  Graphs run one at a time in buffers
+    sized by the largest graph.  Returns the len(graphs) x M*P encodings,
+    ordered hidden-graph-major, walk-length-minor.
     """
     if not graphs:
         raise ContractError("encode_batch: empty batch")
@@ -242,12 +255,9 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig, keep: 
     weight, bias = fm.weight.data, fm.bias.data
     feats = np.concatenate([h.hidden_features.data for h in params.hidden_graphs], axis=0)
     mask = 1.0 - np.eye(m)
-    sig = []
     bhid = np.zeros((M * m, M * m))
-    for i, h in enumerate(params.hidden_graphs):
-        raw = h.raw_weights.data
-        sig.append(ad._sigmoid((raw + raw.T) * 0.5))
-        bhid[i * m:(i + 1) * m, i * m:(i + 1) * m] = sig[-1] * mask
+    for i, sig in enumerate(_hidden_weights([h.raw_weights for h in params.hidden_graphs])):
+        bhid[i * m:(i + 1) * m, i * m:(i + 1) * m] = sig * mask
     # right-hand factors F^T Bhid^p, shared by every graph in the call
     right = [feats.T @ bhid]
     for _ in range(P - 1):
@@ -257,90 +267,95 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig, keep: 
         group[i * m:(i + 1) * m, i] = 1.0
 
     # lefts[q] and rights[q]: for walk length p = q + 1, the factors B^p S
-    # and Xm F^T Bhid^p of every graph, stacked by node rows when kept for
-    # the backward pass, else one graph at a time in reused buffers
-    rows_needed = sum(g.n for g in graphs) if keep else max(g.n for g in graphs)
-    lefts = [np.empty((rows_needed, M * m)) for _ in range(P)]
-    rights = [np.empty((rows_needed, M * m)) for _ in range(P)]
+    # and Xm F^T Bhid^p of the current graph
+    rows = max(g.n for g in graphs)
+    lefts = [np.empty((rows, M * m)) for _ in range(P)]
+    rights = [np.empty((rows, M * m)) for _ in range(P)]
     out = np.empty((len(graphs), M * P))
-    bs, xs, xms = [], [], []
-    lo = 0
     for gi, g in enumerate(graphs):
         fm.check_input(g.features)
         b = diffuse(g, cfg.diffusion)
         xm = g.features @ weight + bias
-        rows = slice(lo, lo + g.n)
-        left = np.matmul(b, xm @ feats.T, out=lefts[0][rows])
+        left = np.matmul(b, xm @ feats.T, out=lefts[0][:g.n])
         for q in range(P):
-            r = np.matmul(xm, right[q], out=rights[q][rows])
+            r = np.matmul(xm, right[q], out=rights[q][:g.n])
             out[gi, q::P] = ((left * r) @ group).sum(axis=0)
             if q + 1 < P:
-                left = np.matmul(b, left, out=lefts[q + 1][rows])
-        if keep:
-            bs.append(b)
-            xs.append(g.features)
-            xms.append(xm)
-            lo += g.n
-    if not keep:
-        return out, None
-    return out, (feats, mask, sig, bhid, right, bs, xs, xms, lefts, rights)
+                left = np.matmul(b, left, out=lefts[q + 1][:g.n])
+    return out
 
 
-def _encoder_backward(grad: np.ndarray, parents: list, cfg: KernelConfig, kept):
+def _walk_statistics(graphs: list, cfg: KernelConfig) -> np.ndarray:
+    """len(graphs) x P x (d+1) x (d+1): K[g, q] = X~^T B^(q+1) X~ with
+    X~ = [X 1], each graph's side of the factored kernel."""
+    P, d1 = cfg.max_walk, graphs[0].feature_dim + 1
+    stats = np.empty((len(graphs), P, d1, d1))
+    rows = max(g.n for g in graphs)
+    xt_buf, walks_buf = np.ones((rows, d1)), np.empty((P, rows, d1))
+    for gi, g in enumerate(graphs):
+        b = diffuse(g, cfg.diffusion)
+        xt, walks = xt_buf[:g.n], walks_buf[:, :g.n]
+        xt[:, :-1] = g.features
+        walk = xt
+        for q in range(P):
+            walk = np.matmul(b, walk, out=walks[q])
+        np.matmul(xt.T, walks, out=stats[gi])
+    return stats
+
+
+def _encoder_backward(grad: np.ndarray, parents: list, graphs: list, cfg: KernelConfig):
     """Reverse of ``_encoder_forward``: accumulates d(output) . grad into
     each of ``parents`` (``SwagParams.parameters()`` order) that requires
-    grad.  Only the B^T recursion runs per graph; the products that
-    contract over nodes run once over all graphs stacked.  Consumes the
-    kept buffers, which are overwritten with their gradients."""
-    feats, mask, sig, bhid, right, bs, xs, xms, lefts, rights = kept
+    grad.
+
+    Differentiates the factored kernel: with W~ = [W; b^T], the output for
+    graph g, hidden graph h and walk length p is <K_p(g), W~ G_hp W~^T>,
+    where K_p(g) = X~^T B^p X~ (``_walk_statistics``) and
+    G_hp = F_h^T B'_h^p F_h.  The graphs enter only through
+    Kbar_hp = sum_g grad[g, h, p] K_p(g), so nothing here is sized by the
+    batch's node count.
+    """
     m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
-    sizes = [b.shape[0] for b in bs]
-    xs, xms = np.concatenate(xs, axis=0), np.concatenate(xms, axis=0)
-    node_graph = np.repeat(np.arange(len(bs)), sizes)
-    spread = np.empty_like(lefts[0])
-    for q in range(P):
-        # output gradient of walk length q, spread over every node row and
-        # over the m columns of each hidden graph's block
-        np.take(np.repeat(grad[:, q::P], m, axis=1), node_graph, axis=0, out=spread,
-                mode="clip")  # "raise" would buffer the output; indices are valid
-        lefts[q] *= spread
-        rights[q] *= spread
-    # lefts[q] now holds the gradient of the right factor and rights[q] the
-    # direct part of the left factor's, whose chain through B^T runs per graph
-    d_r, d_left, d_s = lefts, rights, spread
-    lo = 0
-    for b, n in zip(bs, sizes):
-        rows = slice(lo, lo + n)
-        acc = d_left[P - 1][rows]
-        for q in range(P - 2, -1, -1):
-            acc = b.T @ acc + d_left[q][rows]
-        np.matmul(b.T, acc, out=d_s[rows])
-        lo += n
-
-    d_xm = d_s @ feats
-    for q in range(P):
-        d_xm += d_r[q] @ right[q].T
-    d_right = [xms.T @ d_r[q] for q in range(P)]
-    d_bhid = np.zeros_like(bhid)
-    for q in range(P - 1, 0, -1):
-        d_bhid += right[q - 1].T @ d_right[q]
-        d_right[q - 1] += d_right[q] @ bhid.T
-    d_bhid += feats @ d_right[0]
-    d_feats = d_s.T @ xms + bhid @ d_right[0].T
-
+    n_graphs = grad.shape[0]
     weight, bias = parents[:2]
+    raws, features = parents[2::2], parents[3::2]
+    wt = np.vstack([weight.data, bias.data])
+    d1 = wt.shape[0]
+    feats = np.stack([f.data for f in features])
+    mask = 1.0 - np.eye(m)
+    sig = _hidden_weights(raws)
+    adj = sig * mask
+    bf = [adj @ feats]  # bf[q] = B'^(q+1) F, per hidden graph
+    for _ in range(P - 1):
+        bf.append(adj @ bf[-1])
+    bf = np.stack(bf)
+    feats_t = feats.transpose(0, 2, 1)
+
+    stats = _walk_statistics(graphs, cfg).transpose(1, 0, 2, 3).reshape(P, n_graphs, d1 * d1)
+    kbar = np.matmul(grad.reshape(n_graphs, M, P).T, stats).reshape(P, M, d1, d1)
+    q_ = wt.T @ kbar @ wt
+    # G_hp is symmetric, so d<K, W~ G W~^T>/dW~ = (K + K^T) W~ G
+    d_wt = ((kbar + kbar.transpose(0, 1, 3, 2)) @ wt @ (feats_t @ bf)).sum(axis=(0, 1))
+    d_feats = (bf @ (q_ + q_.transpose(0, 1, 3, 2))).sum(axis=0)
+    # d/dB' of sum_p <F Q_p F^T, B'^p>, back through the chain B'^p F = B' B'^(p-1) F
+    acc = feats @ q_[P - 1]
+    d_adj = np.zeros_like(adj)
+    for q in range(P - 1, 0, -1):
+        d_adj += acc @ bf[q - 1].transpose(0, 2, 1)
+        acc = adj @ acc + feats @ q_[q - 1]
+    d_adj += acc @ feats_t
+    half = d_adj * mask * sig * (1.0 - sig) * 0.5
+    d_raw = half + half.transpose(0, 2, 1)
+
     if weight.requires_grad:
-        ad._accumulate(weight, xs.T @ d_xm)
+        ad._accumulate(weight, d_wt[:-1])
     if bias.requires_grad:
-        ad._accumulate(bias, d_xm.sum(axis=0))
-    for i in range(M):
-        raw, features = parents[2 + 2 * i:4 + 2 * i]
-        block = slice(i * m, (i + 1) * m)
+        ad._accumulate(bias, d_wt[-1])
+    for raw, f, d_r, d_f in zip(raws, features, d_raw, d_feats):
         if raw.requires_grad:
-            half = d_bhid[block, block] * mask * sig[i] * (1.0 - sig[i]) * 0.5
-            ad._accumulate(raw, half + half.T)
-        if features.requires_grad:
-            ad._accumulate(features, d_feats[block])
+            ad._accumulate(raw, d_r)
+        if f.requires_grad:
+            ad._accumulate(f, d_f)
 
 
 def encode_batch(graphs: list, params: SwagParams, cfg: KernelConfig) -> Tensor:
@@ -348,21 +363,24 @@ def encode_batch(graphs: list, params: SwagParams, cfg: KernelConfig) -> Tensor:
 
     A single autodiff node over ``params.parameters()`` with a hand-written
     vector-Jacobian product; the values are those of ``encode_numpy``.
+    The node keeps only the list of graphs, nothing sized by their node
+    count: the backward pass recomputes each graph's walk statistics
+    X~^T B^p X~ and differentiates the kernel through them.
     """
     parents = params.parameters()
-    keep = any(p.requires_grad for p in parents)
-    out, kept = _encoder_forward(graphs, params, cfg, keep)
+    out = _encoder_forward(graphs, params, cfg)
+    graphs = list(graphs)  # the backward reads them again
 
     def vjp(g):
-        _encoder_backward(g, parents, cfg, kept)
+        _encoder_backward(g, parents, graphs, cfg)
 
     return ad._node(out, parents, vjp, "encode_batch")
 
 
 def encode_numpy(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.ndarray:
     """Gradient-free encoding used for evaluation and frozen-encoder runs:
-    the ``encode_batch`` forward without keeping intermediates."""
-    return _encoder_forward(graphs, params, cfg, keep=False)[0]
+    the ``encode_batch`` forward without a tape node."""
+    return _encoder_forward(graphs, params, cfg)
 
 
 def swag_encode(g: Graph, params: SwagParams, cfg: KernelConfig) -> Tensor:

@@ -11,6 +11,7 @@ as an optimization sanity signal.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -78,10 +79,12 @@ class TrainConfig:
             raise ConfigError(f"TrainConfig: epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
-        if not (self.lr > 0):
-            raise ConfigError(f"TrainConfig: lr must be positive, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"TrainConfig: lr must be positive and finite, got {self.lr}")
         if not (self.tau > 0):
             raise ConfigError(f"TrainConfig: tau must be positive, got {self.tau}")
+        if self.seed < 0:
+            raise ConfigError(f"TrainConfig: seed must be >= 0, got {self.seed}")
 
     def kernel_config(self) -> KernelConfig:
         return KernelConfig(num_hidden=self.hidden_graphs,

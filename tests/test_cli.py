@@ -74,6 +74,16 @@ def test_config_file_unreadable(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--lr", "inf"), ("--seed", "-1")])
+def test_train_rejects_bad_lr_and_seed(tmp_path, capsys, flag, value):
+    out = str(tmp_path / "run")
+    # one Adam step per fold: an infinite lr used to finish with NaN weights
+    assert run_cli("train", *TINY, "--epochs", "1", "--batch-size", "64",
+                   flag, value, "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(os.path.join(out, "result.json"))
+
+
 def write_tu(directory, edges):
     directory.mkdir()
     (directory / "BAD_A.txt").write_text(edges)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,15 @@ def random_graph(rng, n, d=2, edge_p=0.5):
     a = np.triu((rng.random((n, n)) < edge_p).astype(float), 1)
     a = a + a.T
     return Graph(n, a, rng.standard_normal((n, d)))
+
+
+def sbm_graph(rng, n, d, blocks=3, intra=0.9, inter=0.05):
+    """A stochastic-block-model graph with equal blocks, the regime where
+    the encoder's products run BLAS-bound."""
+    member = np.arange(n) * blocks // n
+    p = np.where(member[:, None] == member[None, :], intra, inter)
+    a = np.triu((rng.random((n, n)) < p).astype(float), 1)
+    return Graph(n, a + a.T, rng.standard_normal((n, d)))
 
 
 def k2(features=None):
@@ -454,6 +464,7 @@ def encoder_case(seed, fields, d):
     params = make_params(rng, cfg, d)
     graphs = edge_case_batch(rng, d) + [random_graph(rng, int(rng.integers(2, 12)), d)
                                         for _ in range(6)]
+    graphs.append(sbm_graph(rng, int(rng.integers(60, 121)), d))
     return rng, cfg, params, graphs
 
 
@@ -522,6 +533,38 @@ def test_encode_batch_rejects_empty_batch_and_wrong_features():
         encode_batch([], params, cfg)
     with pytest.raises(ContractError):
         encode_numpy([random_graph(np.random.default_rng(0), 3, d=5)], params, cfg)
+
+
+def molecule_like(rng, n, d=7):
+    """A tree of degree at most 3 plus one ring closure, with one-hot node
+    labels: the shape of a MUTAG graph."""
+    a = np.zeros((n, n))
+    for v in range(1, n):
+        free = np.flatnonzero(a[:v].sum(axis=1) < 3)
+        u = int(rng.choice(free))
+        a[u, v] = a[v, u] = 1.0
+    a[0, n - 1] = a[n - 1, 0] = 1.0
+    return Graph(n, a, np.eye(d)[rng.integers(0, d, n)])
+
+
+def test_encode_batch_holds_nothing_node_sized_until_backward():
+    rng = np.random.default_rng(11)
+    cfg = KernelConfig()
+    graphs = [molecule_like(rng, int(n)) for n in rng.integers(10, 29, 64)]
+    params = make_params(rng, cfg, 7)
+    for g in graphs:
+        diffuse(g, cfg.diffusion)  # the diffusion cache belongs to the graphs
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = encode_batch(graphs, params, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a single (batch nodes x M*m) buffer would be about 60 times the output
+    assert held <= 2 * out.data.nbytes
+    ad.backward(out.sum())
+    assert all(p.grad is not None for p in params.parameters())
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -64,8 +64,11 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=lr)
     with pytest.raises(ConfigError):
-        TrainConfig(lr=float("nan"))
+        TrainConfig(seed=-1)
     for tau in (float("nan"), 0.0, -1.0):
         with pytest.raises(ConfigError):
             TrainConfig(tau=tau)
