@@ -2,11 +2,14 @@
 
 Every operation records its inputs and a vector-Jacobian closure on the
 output node; ``backward`` replays the recorded graph once in reverse
-topological order.  The primitive set is intentionally small: matrix
-multiplication, (broadcast) addition, elementwise multiplication, scalar
-scaling, sigmoid, relu, transpose, trace of a matrix product, row-wise
-log-softmax, sum/mean reductions, row-wise L2 normalization and
-stop-gradient.  All arithmetic is double precision.
+topological order.  Training calls matrix multiplication, same-shape
+and bias-broadcast addition, elementwise multiplication, scalar scaling,
+relu, transpose, row-wise log-softmax, sum/mean reductions, row-wise L2
+normalization and stop-gradient; the encoder itself is one fused node
+built with ``_node``.  Sigmoid and the trace of a matrix product serve
+``kernel.hidden_adjacency`` and ``kernel.smoothed_kernel``, the tape form
+of the kernel that hidden-graph export and the kernel oracles use.  All
+arithmetic is double precision.
 """
 
 from __future__ import annotations
@@ -38,15 +41,8 @@ class Tensor:
         self._op = _op
         self._consumed = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
-
-    def backward(self):
-        backward(self)
 
     def zero_grad(self):
         self.grad = None
@@ -55,22 +51,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0) if isinstance(other, Tensor) else -other)
-
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return multiply(self, other)
-        return scale(self, other)
+        return multiply(self, other)
 
     def __rmul__(self, other):
         return scale(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -140,13 +125,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        def vjp_c(g):
-            _accumulate(a, g)
-        return _node(a.data + float(b), (a,), vjp_c, "add")
-
-    b = _as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape == b.data.shape:
         def vjp_same(g):
             if a.requires_grad:

@@ -20,8 +20,8 @@ from .errors import ConfigError, SwagError
 from .reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
                         fold_csv, load_checkpoint, load_result, save_checkpoint,
                         save_result, summarize)
-from .training import (PretrainResult, TrainConfig, ablate, adapt, load_dataset,
-                       pretrain_ssl, train_supervised)
+from .training import (PretrainResult, TrainConfig, ablate, adapt, cross_validate,
+                       load_dataset, pretrain_ssl, train_supervised)
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
 
@@ -90,14 +90,6 @@ def _save_run(result, cfg: TrainConfig):
     print(f"wrote {cfg.out}/result.json, folds.csv, checkpoint.npz")
 
 
-def _pretrained_for(args: argparse.Namespace, cfg: TrainConfig) -> PretrainResult:
-    if getattr(args, "checkpoint", None):
-        fold_params, fold_heads, config = load_checkpoint(args.checkpoint, expect=cfg)
-        return PretrainResult(fold_params, fold_heads, [], config)
-    pre_cfg = dataclasses.replace(cfg, mode="pretrain")
-    return pretrain_ssl(pre_cfg, epochs=getattr(args, "pretrain_epochs", None))
-
-
 def _report_rank0(dataset, tau: float):
     """Print how many graphs the row-sum certificate puts at LGA rank 0
     (their positives are empty graphs); warn when that is all of them."""
@@ -150,8 +142,11 @@ def cmd_pretrain(args) -> int:
 
 def cmd_adapt(args, mode: str) -> int:
     cfg = build_config(args, mode=mode)
-    pretrained = _pretrained_for(args, cfg)
-    result = adapt(pretrained, cfg)
+    if args.checkpoint:
+        fold_params, fold_heads, config = load_checkpoint(args.checkpoint, expect=cfg)
+        result = adapt(PretrainResult(fold_params, fold_heads, [], config), cfg)
+    else:
+        result = cross_validate(cfg, pretrain_epochs=args.pretrain_epochs)
     print(summarize(result))
     _save_run(result, cfg)
     return 0

@@ -100,8 +100,10 @@ def save_checkpoint(path: str, fold_params: list, fold_heads: list, config: dict
 def load_checkpoint(path: str, expect: TrainConfig = None):
     """Returns (fold_params, fold_heads, config); heads may be None.  With
     ``expect``, the stored config must agree with it on every encoder
-    field, or ConfigError names the first that differs.  A file that is
-    not such an archive raises LoadError."""
+    field and on the seed and fold count that fix the splits (so no test
+    graph of the new run was a training graph of the old one), or
+    ConfigError names the first that differs.  A file that is not such an
+    archive raises LoadError."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -121,10 +123,10 @@ def load_checkpoint(path: str, expect: TrainConfig = None):
     if not isinstance(config, dict):
         raise LoadError(f"{path}: __config__ is not a JSON object")
     if expect is not None:
-        for name in ENCODER_FIELDS:
+        for name in ENCODER_FIELDS + ("seed", "folds"):
             stored, wanted = config.get(name), getattr(expect, name)
             if stored != wanted:
-                raise ConfigError(f"{path}: the checkpoint's encoder has {name}={stored!r} "
+                raise ConfigError(f"{path}: the checkpoint was saved with {name}={stored!r} "
                                   f"but the config asks for {name}={wanted!r}")
     folds = set()
     for key in entries:

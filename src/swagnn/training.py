@@ -1,8 +1,13 @@
 """Cross-validated training driver.
 
-Supervised runs train the encoder and a small classifier jointly.
-Self-supervised runs pretrain the encoder per fold on that fold's train
-split only, then adapt by probing (frozen encoder) or fine-tuning.
+Every mode trains through one loop, ``_epochs``: one permutation per
+epoch, one optimizer step per batch, the example-weighted mean loss.
+``_run_fold`` fits a classifier on one fold and trains the encoder with
+it, except in probe mode, which encodes each split once.
+``_pretrain_fold`` trains one fold's encoder label-free on that fold's
+train split only.  ``train_supervised`` and ``adapt`` share one
+cross-validation body, and ``cross_validate`` runs a supervised, probe or
+finetune config end to end, pretraining first for the last two.
 Checkpoints are selected per fold by validation accuracy, earliest epoch
 winning ties; the reported train accuracy is measured at the final epoch
 as an optimization sanity signal.
@@ -42,10 +47,16 @@ from .augment import make_augmenter
 
 PREDICTOR_HIDDEN = 32
 TAU_GUIDANCE = (0.3, 4.2)
+# the modes that adapt a pretrained encoder
+ADAPT_MODES = ("probe", "finetune")
 # the TrainConfig fields that kernel_config() turns into the encoder: a
 # saved encoder only fits a config that agrees on every one of them
 ENCODER_FIELDS = ("hidden_graphs", "hidden_nodes", "hidden_dim", "walk_len",
                   "diff_steps", "alpha")
+
+# the JSON values each TrainConfig annotation, as text, accepts; bool is
+# rejected although Python counts it as an int
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
 
 
 @dataclass
@@ -68,7 +79,7 @@ class TrainConfig:
     batch_size: int = 64
     folds: int = 10
     seed: int = 0
-    out: str = None
+    out: str | None = None
 
     def __post_init__(self):
         if self.mode not in ("supervised", "pretrain", "probe", "finetune"):
@@ -103,10 +114,14 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(values) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(values) - set(types)
         if unknown:
             raise ConfigError(f"TrainConfig: unknown fields {sorted(unknown)}")
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[types[name]]):
+                raise ConfigError(f"TrainConfig: {name} must be of type {types[name]}, "
+                                  f"got {value!r}")
         return cls(**values)
 
 
@@ -233,16 +248,38 @@ def _validated_folds(ds: Dataset, cfg: TrainConfig) -> list:
     return folds
 
 
+def _epochs(opt: ad.Adam, rng: np.random.Generator, n: int, epochs: int,
+            batch_size: int, batch_loss, what: str, fold: int, min_last: int = 1):
+    """The one training loop.  Each epoch draws one permutation of the n
+    training positions, takes one optimizer step per batch on
+    ``batch_loss(batch, epoch)`` and yields (epoch, example-weighted mean
+    loss)."""
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        total, seen = 0.0, 0
+        for batch in _batch_indices(order, batch_size, min_last):
+            loss = batch_loss(batch, epoch)
+            _check_finite(loss.item(), what, fold, epoch)
+            opt.zero_grad()
+            ad.backward(loss)
+            opt.step()
+            total += loss.item() * len(batch)
+            seen += len(batch)
+        yield epoch, total / seen
+
+
 def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, kcfg: KernelConfig,
-              fold: int, params: SwagParams = None, train_encoder: bool = True) -> dict:
+              fold: int, params: SwagParams = None) -> dict:
+    """Train a classifier on one fold; the encoder trains with it unless
+    ``cfg.mode`` is "probe"."""
     start = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, fold])
     labels = ds.labels()
     if params is None:
         params = SwagParams.init(kcfg, ds.feature_dim, rng)
     predictor = Predictor.for_task(kcfg.output_dim, ds.num_classes, rng)
-
-    trained = (params.parameters() if train_encoder else []) + predictor.parameters()
+    frozen = cfg.mode == "probe"
+    trained = ([] if frozen else params.parameters()) + predictor.parameters()
     opt = ad.Adam(trained, lr=cfg.lr)
 
     train_graphs = [ds.graphs[i] for i in split.train_idx]
@@ -250,44 +287,33 @@ def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, kcfg: KernelConfi
     val_graphs = [ds.graphs[i] for i in split.val_idx]
     val_labels = labels[split.val_idx]
 
-    frozen = frozen_val = None
-    if not train_encoder:
-        # frozen encoder: encode each split once up front
-        frozen = encode_numpy(train_graphs, params, kcfg)
-        frozen_val = encode_numpy(val_graphs, params, kcfg)
+    def encode(graphs):
+        return encode_numpy(graphs, params, kcfg)
+
+    # a frozen encoder encodes each split once
+    train_enc, val_enc = (encode(train_graphs), encode(val_graphs)) if frozen else (None, None)
+
+    def batch_loss(batch, epoch):
+        enc = (ad.constant(train_enc[batch]) if frozen
+               else encode_batch([train_graphs[i] for i in batch], params, kcfg))
+        return softmax_cross_entropy(predictor(enc), train_labels[batch])
 
     loss_curve, val_curve = [], []
     best_val, best_epoch, best_state = -1.0, -1, None
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_graphs))
-        total, seen = 0.0, 0
-        for idx in _batch_indices(order, cfg.batch_size):
-            if train_encoder:
-                enc = encode_batch([train_graphs[i] for i in idx], params, kcfg)
-            else:
-                enc = ad.constant(frozen[idx])
-            loss = softmax_cross_entropy(predictor(enc), train_labels[idx])
-            _check_finite(loss.item(), "training loss", fold, epoch)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-            total += loss.item() * len(idx)
-            seen += len(idx)
-        loss_curve.append(total / seen)
-
-        val_enc = encode_numpy(val_graphs, params, kcfg) if train_encoder else frozen_val
-        val_acc = _accuracy(val_enc, val_labels, predictor)
+    for epoch, mean_loss in _epochs(opt, rng, len(train_graphs), cfg.epochs, cfg.batch_size,
+                                    batch_loss, "training loss", fold):
+        loss_curve.append(mean_loss)
+        val_acc = _accuracy(val_enc if frozen else encode(val_graphs), val_labels, predictor)
         val_curve.append(val_acc)
         if val_acc > best_val:
             best_val, best_epoch = val_acc, epoch
             best_state = _snapshot(trained)
 
-    final_train_acc = _accuracy(encode_numpy(train_graphs, params, kcfg),
+    final_train_acc = _accuracy(train_enc if frozen else encode(train_graphs),
                                 train_labels, predictor)
     _restore(trained, best_state)
     test_graphs = [ds.graphs[i] for i in split.test_idx]
-    test_acc = _accuracy(encode_numpy(test_graphs, params, kcfg),
-                         labels[split.test_idx], predictor)
+    test_acc = _accuracy(encode(test_graphs), labels[split.test_idx], predictor)
     return {"test_accuracy": test_acc,
             "val_accuracy": best_val,
             "train_accuracy": final_train_acc,
@@ -298,18 +324,27 @@ def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, kcfg: KernelConfi
             "state": (params, predictor)}
 
 
+def _run_folds(cfg: TrainConfig, dataset: Dataset, fold_params: list = None) -> RunResult:
+    """One ``_run_fold`` per validated fold, from scratch or from each
+    fold's pretrained encoder."""
+    ds = dataset if dataset is not None else load_dataset(cfg)
+    kcfg = cfg.kernel_config()
+    folds = _validated_folds(ds, cfg)
+    if fold_params is not None and len(folds) != len(fold_params):
+        raise ConfigError("adapt: fold count does not match the pretrained run")
+    start = time.perf_counter()
+    results = [_run_fold(ds, split, cfg, kcfg, fold,
+                         None if fold_params is None else fold_params[fold].copy())
+               for fold, split in enumerate(folds)]
+    return RunResult.aggregate(results, cfg.to_dict(), cfg.mode,
+                               time.perf_counter() - start)
+
+
 def train_supervised(cfg: TrainConfig, dataset: Dataset = None) -> RunResult:
     """Joint encoder + classifier training with k-fold evaluation."""
     if cfg.mode != "supervised":
         raise ConfigError(f"train_supervised: mode must be 'supervised', got {cfg.mode!r}")
-    ds = dataset if dataset is not None else load_dataset(cfg)
-    kcfg = cfg.kernel_config()
-    folds = _validated_folds(ds, cfg)
-    start = time.perf_counter()
-    results = [_run_fold(ds, split, cfg, kcfg, fold)
-               for fold, split in enumerate(folds)]
-    return RunResult.aggregate(results, cfg.to_dict(), "supervised",
-                               time.perf_counter() - start)
+    return _run_folds(cfg, dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +370,17 @@ def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig,
     else:
         loss_fn, min_batch = noncontrastive_loss, 1
     opt = ad.Adam(params.parameters() + head.parameters(), lr=cfg.lr)
-
     train_idx = np.asarray(split.train_idx)
-    curve = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(train_idx))
-        total, seen = 0.0, 0
-        for batch in _batch_indices(order, cfg.batch_size, min_last=min_batch):
-            positions = train_idx[batch]
-            graphs = [ds.graphs[i] for i in positions]
-            ssl_batch = make_ssl_batch(graphs, augmenter, params, kcfg,
-                                       epoch, indices=positions)
-            loss = loss_fn(ssl_batch, head)
-            _check_finite(loss.item(), "pretraining loss", fold, epoch)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-            total += loss.item() * len(batch)
-            seen += len(batch)
-        curve.append(total / seen)
+
+    def batch_loss(batch, epoch):
+        positions = train_idx[batch]
+        graphs = [ds.graphs[i] for i in positions]
+        return loss_fn(make_ssl_batch(graphs, augmenter, params, kcfg, epoch,
+                                      indices=positions), head)
+
+    curve = [mean_loss for _, mean_loss in
+             _epochs(opt, rng, len(train_idx), epochs, cfg.batch_size, batch_loss,
+                     "pretraining loss", fold, min_last=min_batch)]
     return params, head, curve
 
 
@@ -385,21 +412,22 @@ def adapt(pretrained: PretrainResult, cfg: TrainConfig,
     finetune continues training the encoder as well."""
     if pretrained is None or not pretrained.fold_params:
         raise ConfigError("adapt: pretrained parameters are required")
-    if cfg.mode not in ("probe", "finetune"):
+    if cfg.mode not in ADAPT_MODES:
         raise ConfigError(f"adapt: mode must be 'probe' or 'finetune', got {cfg.mode!r}")
+    return _run_folds(cfg, dataset, pretrained.fold_params)
+
+
+def cross_validate(cfg: TrainConfig, dataset: Dataset = None,
+                   pretrain_epochs: int = None) -> RunResult:
+    """One cross-validated run of ``cfg.mode``: probe and finetune first
+    pretrain each fold's encoder, supervised trains from scratch.  The
+    dataset is loaded at most once."""
     ds = dataset if dataset is not None else load_dataset(cfg)
-    kcfg = cfg.kernel_config()
-    folds = _validated_folds(ds, cfg)
-    if len(folds) != len(pretrained.fold_params):
-        raise ConfigError("adapt: fold count does not match the pretrained run")
-    start = time.perf_counter()
-    results = []
-    for fold, split in enumerate(folds):
-        params = pretrained.fold_params[fold].copy()
-        results.append(_run_fold(ds, split, cfg, kcfg, fold, params=params,
-                                 train_encoder=(cfg.mode == "finetune")))
-    return RunResult.aggregate(results, cfg.to_dict(), cfg.mode,
-                               time.perf_counter() - start)
+    if cfg.mode in ADAPT_MODES:
+        pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds,
+                           epochs=pretrain_epochs)
+        return adapt(pre, cfg, ds)
+    return train_supervised(cfg, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -415,23 +443,18 @@ def ablate(cfg: TrainConfig, parameter: str, values: list,
     """
     if parameter not in ("tau", "num_hidden"):
         raise ConfigError(f"ablate: unknown parameter {parameter!r}")
+    ds = dataset if dataset is not None else load_dataset(cfg)
     results = []
     for value in values:
         if parameter == "tau":
             if not (TAU_GUIDANCE[0] <= value <= TAU_GUIDANCE[1]):
                 warnings.warn(f"tau={value} outside the guidance range "
                               f"[{TAU_GUIDANCE[0]}, {TAU_GUIDANCE[1]}]")
-            mode = cfg.mode if cfg.mode in ("probe", "finetune") else "finetune"
+            mode = cfg.mode if cfg.mode in ADAPT_MODES else "finetune"
             run_cfg = dataclasses.replace(cfg, tau=float(value), augmenter="lga",
                                           mode=mode)
-            pre = pretrain_ssl(run_cfg, dataset, epochs=pretrain_epochs)
-            results.append(adapt(pre, run_cfg, dataset))
         else:
-            run_cfg = dataclasses.replace(cfg, hidden_graphs=int(value))
-            if run_cfg.mode in ("probe", "finetune"):
-                pre = pretrain_ssl(run_cfg, dataset, epochs=pretrain_epochs)
-                results.append(adapt(pre, run_cfg, dataset))
-            else:
-                run_cfg = dataclasses.replace(run_cfg, mode="supervised")
-                results.append(train_supervised(run_cfg, dataset))
+            mode = cfg.mode if cfg.mode in ADAPT_MODES else "supervised"
+            run_cfg = dataclasses.replace(cfg, hidden_graphs=int(value), mode=mode)
+        results.append(cross_validate(run_cfg, ds, pretrain_epochs))
     return results

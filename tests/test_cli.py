@@ -74,6 +74,43 @@ def test_config_file_unreadable(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, shown", [
+    ({"seed": "a"}, ["seed", "'a'", "int"]),
+    ({"lr": "0.1"}, ["lr", "'0.1'", "float"]),
+    ({"folds": True}, ["folds", "True", "int"]),
+    ({"epochs": 2.5}, ["epochs", "2.5", "int"]),
+    ({"lr": False}, ["lr", "False", "float"]),
+    ({"dataset": 3}, ["dataset", "3", "str"]),
+    ({"out": 5}, ["out", "5", "str"]),
+])
+def test_config_file_errors_name_the_field(tmp_path, capsys, entry, shown):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": "toy", "epochs": 1, **entry}))
+    assert run_cli("train", "--config", str(cfg_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(text in err for text in shown), err
+
+
+def test_config_file_must_be_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([["seed", 1]]))
+    assert run_cli("train", "--config", str(cfg_path)) == 1
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_config_file_valid_types_load(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    # an int where a float is expected, and a null out, are valid JSON for TrainConfig
+    cfg_path.write_text(json.dumps({"dataset": "toy", "lr": 1, "alpha": 0.15, "out": None,
+                                    "seed": 2, "folds": 2}))
+
+    class Args:
+        config = str(cfg_path)
+    cfg = build_config(Args(), mode="supervised")
+    assert (cfg.lr, cfg.seed, cfg.folds, cfg.out) == (1, 2, 2, None)
+
+
 @pytest.mark.parametrize("flag, value", [("--lr", "inf"), ("--seed", "-1")])
 def test_train_rejects_bad_lr_and_seed(tmp_path, capsys, flag, value):
     out = str(tmp_path / "run")
@@ -148,7 +185,8 @@ def test_checkpoint_fold_count_mismatch(tmp_path, capsys):
     args[args.index("--folds") + 1] = "4"
     assert run_cli("probe", *args, "--checkpoint",
                    os.path.join(pre_out, "pretrained.npz")) == 1
-    assert "fold count" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "folds=2" in err and "folds=4" in err
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +199,9 @@ def tiny_checkpoint(tmp_path_factory):
 
 @pytest.mark.parametrize("flag, value, stored", [
     ("--hidden-graphs", "4", "2"), ("--hidden-nodes", "5", "4"), ("--hidden-dim", "6", "8"),
-    ("--walk-len", "3", "2"), ("--diff-steps", "2", "3"), ("--alpha", "0.3", "0.15")])
+    ("--walk-len", "3", "2"), ("--diff-steps", "2", "3"), ("--alpha", "0.3", "0.15"),
+    # another seed draws other folds, whose test graphs the encoders partly trained on
+    ("--seed", "1", "0")])
 def test_checkpoint_encoder_mismatch_is_a_config_error(tmp_path, capsys, tiny_checkpoint,
                                                         flag, value, stored):
     out = str(tmp_path / "ft")
@@ -171,6 +211,20 @@ def test_checkpoint_encoder_mismatch_is_a_config_error(tmp_path, capsys, tiny_ch
     field = flag[2:].replace("-", "_")
     assert f"{field}={stored}" in err and f"{field}={value}" in err
     assert not os.path.exists(os.path.join(out, "result.json"))
+
+
+def test_probe_without_checkpoint_loads_the_dataset_once(monkeypatch):
+    import swagnn.cli
+    import swagnn.training
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg.dataset)
+        return swagnn.training.make_toy_dataset()
+    monkeypatch.setattr(swagnn.training, "load_dataset", counted)
+    monkeypatch.setattr(swagnn.cli, "load_dataset", counted)
+    assert run_cli("probe", *TINY, "--augmenter", "identity", "--pretrain-epochs", "1") == 0
+    assert calls == ["toy"]
 
 
 def test_checkpoint_matching_config_loads(tmp_path, tiny_checkpoint):

@@ -74,6 +74,9 @@ def test_config_validation():
             TrainConfig(tau=tau)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"dataset": "toy", "temperature": 0.1})
+    for bad in ({"folds": True}, {"seed": 1.0}, {"lr": "0.1"}, {"out": 1}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainConfig.from_dict(bad)
 
 
 def test_config_round_trip():
@@ -254,15 +257,31 @@ def test_probe_trains_head_only_and_fits_toy():
 
 def test_probe_leaves_used_encoder_unchanged():
     ds = make_toy_dataset()
-    cfg = small_cfg(epochs=5)
+    cfg = small_cfg(epochs=5, mode="probe")
     kcfg = cfg.kernel_config()
     from swagnn.kernel import SwagParams
     params = SwagParams.init(kcfg, ds.feature_dim, np.random.default_rng(0))
     snapshot = [p.data.copy() for p in params.parameters()]
     split = FoldSplit(train_idx=[0, 1, 4, 5], val_idx=[2, 6], test_idx=[3, 7])
-    _run_fold(ds, split, cfg, kcfg, 0, params=params, train_encoder=False)
+    _run_fold(ds, split, cfg, kcfg, 0, params=params)
     for p, snap in zip(params.parameters(), snapshot):
         np.testing.assert_array_equal(p.data, snap)
+
+
+def test_probe_encodes_each_graph_once_per_fold(monkeypatch):
+    import swagnn.training
+    ds = make_toy_dataset()
+    cfg = small_cfg(epochs=3, mode="probe")
+    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=0)
+    encode, encoded = swagnn.training.encode_numpy, []
+
+    def counted(graphs, *args):
+        encoded.extend(id(g) for g in graphs)
+        return encode(graphs, *args)
+    monkeypatch.setattr(swagnn.training, "encode_numpy", counted)
+    adapt(pre, cfg, ds)
+    # each fold encodes its train, validation and test graphs once each
+    assert [encoded.count(id(g)) for g in ds.graphs] == [cfg.folds] * len(ds.graphs)
 
 
 def test_finetune_updates_encoder():
