@@ -6,7 +6,7 @@ pretraining draws positives by resampling graphs from a spectral estimate
 of their edge-probability matrix.
 """
 
-from . import augment, autodiff, cli, errors, graphs, kernel, reporting, ssl, training
+from . import augment, autodiff, errors, graphs, kernel, reporting, ssl, training
 from .augment import LgaAugmenter, make_augmenter, usvt_estimate
 from .errors import (ConfigError, ContractError, FormatError, LoadError,
                      NumericalError, SwagError, TapeError, TrainingError)
@@ -16,7 +16,7 @@ from .training import (RunResult, TrainConfig, ablate, adapt, pretrain_ssl,
                        train_supervised)
 
 __all__ = [
-    "augment", "autodiff", "cli", "errors", "graphs", "kernel",
+    "augment", "autodiff", "errors", "graphs", "kernel",
     "reporting", "ssl", "training",
     "LgaAugmenter", "make_augmenter", "usvt_estimate",
     "ConfigError", "ContractError", "FormatError", "LoadError",

@@ -327,11 +327,17 @@ def sample_augmentation(theta: np.ndarray, seed) -> np.ndarray:
         raise ContractError("sample_augmentation: probabilities must lie in [0,1]")
     m = theta.shape[0]
     rng = np.random.default_rng(seed)
-    iu = np.triu_indices(m, k=1)
-    draws = (rng.random(len(iu[0])) < theta[iu]).astype(np.float64)
+    upper = _upper_triangle(m)
     out = np.zeros((m, m))
-    out[iu] = draws
+    out[upper] = rng.random(m * (m - 1) // 2) < theta[upper]
     return out + out.T
+
+
+def _upper_triangle(n: int) -> np.ndarray:
+    """Boolean mask of the strict upper triangle.  Boolean indexing walks
+    it row-major, the order of ``np.triu_indices``, so each pair gets the
+    same draw of the RNG stream."""
+    return ~np.tri(n, dtype=bool)
 
 
 def generate_sbm(block_sizes, intra: float, inter: float, seed) -> Graph:
@@ -357,10 +363,9 @@ def edge_drop_baseline(g: Graph, rate: float, seed) -> Graph:
     if not (0.0 <= rate <= 1.0):
         raise ConfigError(f"edge_drop_baseline: rate {rate} outside [0,1]")
     rng = np.random.default_rng(seed)
-    iu = np.triu_indices(g.n, k=1)
-    keep = rng.random(len(iu[0])) >= rate
+    upper = _upper_triangle(g.n)
     out = np.zeros((g.n, g.n))
-    out[iu] = g.adjacency[iu] * keep
+    out[upper] = g.adjacency[upper] * (rng.random(g.n * (g.n - 1) // 2) >= rate)
     return Graph(g.n, out + out.T, g.features, g.label)
 
 

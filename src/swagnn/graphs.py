@@ -173,14 +173,19 @@ def _read_lines(path: str) -> list:
         raise LoadError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_ints(path: str) -> list:
-    """One integer per non-blank line."""
+def _read_ints(path: str, non_decreasing: bool = False) -> list:
+    """One integer per non-blank line.  With ``non_decreasing`` (the graph
+    indicator) a value below the one before it is a FormatError."""
     values = []
     for lineno, line in _read_lines(path):
         try:
-            values.append(int(line))
+            value = int(line)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: expected an integer, got {line!r}") from None
+        if non_decreasing and values and value < values[-1]:
+            raise FormatError(f"{path}:{lineno}: graph id decreases from {values[-1]} to {value}; "
+                              "each graph's nodes must be listed together, in graph order")
+        values.append(value)
     return values
 
 
@@ -188,7 +193,8 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     """Load a dataset in the TU plain-text layout.
 
     Mandatory files: ``<name>_A.txt`` (comma-separated 1-based edge list),
-    ``<name>_graph_indicator.txt`` (1-based graph id per node) and
+    ``<name>_graph_indicator.txt`` (1-based graph id per node, never
+    decreasing, so each graph's nodes are consecutive) and
     ``<name>_graph_labels.txt`` (one integer per graph).  Optional
     ``<name>_node_labels.txt`` entries are one-hot encoded and optional
     ``<name>_node_attributes.txt`` rows are taken verbatim; when both
@@ -204,7 +210,7 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
         if not os.path.isfile(paths[key]):
             raise LoadError(f"missing mandatory file {paths[key]}")
 
-    indicator = _read_ints(paths["graph_indicator"])
+    indicator = _read_ints(paths["graph_indicator"], non_decreasing=True)
     if not indicator:
         raise LoadError(f"{paths['graph_indicator']} contains no node entries")
     graph_ids = sorted(set(indicator))
@@ -300,22 +306,31 @@ def write_tu_dataset(ds: Dataset, directory: str, name: str = None):
     """
     name = name or ds.name
     os.makedirs(directory, exist_ok=True)
-    edge_lines, indicator_lines, label_lines, attr_lines = [], [], [], []
-    offset = 0
-    for gi, g in enumerate(ds.graphs, start=1):
-        rows, cols = np.nonzero(g.adjacency)
-        for u, v in sorted(zip(rows.tolist(), cols.tolist())):
-            edge_lines.append(f"{offset + u + 1}, {offset + v + 1}")
-        for u in range(g.n):
-            indicator_lines.append(str(gi))
-            attr_lines.append(", ".join(repr(float(x)) for x in g.features[u]))
-        label_lines.append(str(g.label if g.label is not None else 0))
-        offset += g.n
-
-    for suffix, lines in (("A", edge_lines), ("graph_indicator", indicator_lines),
-                          ("graph_labels", label_lines), ("node_attributes", attr_lines)):
+    offsets = np.cumsum([1] + [g.n for g in ds.graphs])
+    # argwhere lists entries row-major, which is the canonical order
+    edges = np.concatenate([np.argwhere(g.adjacency) + offset
+                            for g, offset in zip(ds.graphs, offsets)] or [np.empty((0, 2), int)])
+    texts = {"A": "%d, %d\n" * len(edges) % tuple(edges.ravel().tolist()),
+             "graph_indicator": "".join(f"{gi}\n" * g.n for gi, g in enumerate(ds.graphs, start=1)),
+             "graph_labels": "".join(f"{0 if g.label is None else g.label}\n" for g in ds.graphs),
+             "node_attributes": _attribute_text(ds.graphs)}
+    for suffix, text in texts.items():
         with open(os.path.join(directory, f"{name}_{suffix}.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            fh.write(text)
+
+
+def _attribute_text(graphs: list) -> str:
+    """One ``repr``-formatted line per node.  Each distinct row is formatted
+    once, keyed on its bytes so that -0.0 keeps its sign; the float64 cast
+    prints integer features as ``1.0``."""
+    rows = np.concatenate([np.asarray(g.features, dtype=np.float64) for g in graphs]
+                          or [np.empty((0, 0))])
+    if rows.size == 0:
+        return "\n" * len(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    row_of = {key: i for i, key in enumerate(keys)}
+    lines = {key: ", ".join(map(repr, rows[i].tolist())) + "\n" for key, i in row_of.items()}
+    return "".join(map(lines.__getitem__, keys))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import zipfile
 import numpy as np
 
 from .errors import ConfigError, LoadError
-from .graphs import Dataset, Graph, write_tu_dataset
+from .graphs import Dataset, write_tu_dataset
 from .kernel import SwagParams, hidden_adjacency
 from .ssl import TwoLayerMLP
 from .training import ENCODER_FIELDS, RunResult, TrainConfig, load_dataset
@@ -198,9 +198,7 @@ def augment_dataset(cfg: TrainConfig, dataset: Dataset = None,
     augmenter = cfg.make_augmenter()
     augmented, kept_ranks = [], []
     for index, g in enumerate(ds.graphs):
-        out_graph = augmenter.augment(g, index, epoch=0)
-        augmented.append(Graph(out_graph.n, out_graph.adjacency.copy(),
-                               out_graph.features, out_graph.label))
+        augmented.append(augmenter.augment(g, index, epoch=0))
         kept_ranks.append(augmenter.kept_rank(g)
                           if hasattr(augmenter, "kept_rank") else None)
     write_tu_dataset(Dataset(augmented, ds.num_classes, ds.feature_dim, ds.name),

@@ -421,9 +421,11 @@ def cross_validate(cfg: TrainConfig, dataset: Dataset = None,
                    pretrain_epochs: int = None) -> RunResult:
     """One cross-validated run of ``cfg.mode``: probe and finetune first
     pretrain each fold's encoder, supervised trains from scratch.  The
-    dataset is loaded at most once."""
+    dataset is loaded at most once, and the folds are checked before any
+    pretraining."""
     ds = dataset if dataset is not None else load_dataset(cfg)
     if cfg.mode in ADAPT_MODES:
+        _validated_folds(ds, cfg)
         pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds,
                            epochs=pretrain_epochs)
         return adapt(pre, cfg, ds)

@@ -388,6 +388,20 @@ def test_sample_deterministic_and_simple():
     assert set(np.unique(a)) <= {0.0, 1.0}
 
 
+def upper_edges(a):
+    return [tuple(map(int, e)) for e in np.argwhere(np.triu(a))]
+
+
+def test_sample_draws_are_pinned():
+    # exact draws, so a change in the order the RNG stream is spent shows
+    theta = np.full((6, 6), 0.5)
+    theta[0, :] = theta[:, 0] = 0.9
+    assert upper_edges(sample_augmentation(theta, 0)) == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 5), (3, 5)]
+    assert upper_edges(sample_augmentation(theta, [3, 4, 0])) == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (2, 5), (3, 4), (3, 5)]
+
+
 def test_sample_edge_count_concentration():
     n = 100
     theta = np.full((n, n), 0.5)
@@ -444,6 +458,17 @@ def test_edge_drop_expected_count():
     # mean of 1000 independent binomial(45, 0.8) draws
     std_of_mean = np.sqrt(45 * 0.8 * 0.2) / np.sqrt(1000)
     assert abs(mean - 36.0) <= 3 * std_of_mean
+
+
+def test_edge_drop_draws_are_pinned():
+    a = np.zeros((6, 6))
+    for u, v in [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)]:
+        a[u, v] = a[v, u] = 1.0
+    g = Graph(6, a, np.ones((6, 1)))
+    assert upper_edges(edge_drop_baseline(g, 0.5, 0).adjacency) == [
+        (0, 1), (0, 5), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
+    assert upper_edges(edge_drop_baseline(g, 0.5, [1, 2, 0]).adjacency) == [
+        (0, 5), (2, 4), (3, 4)]
 
 
 def test_edge_drop_only_removes():

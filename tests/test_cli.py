@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -399,3 +400,17 @@ def test_console_script_help():
     proc = subprocess.run(["swagnn", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "train" in proc.stdout and "export-hidden" in proc.stdout
+
+
+def test_module_entry_point_runs_without_warnings():
+    # the package must not import swagnn.cli itself, or runpy warns that
+    # the module was already imported before ``-m`` ran it
+    import swagnn
+    src = os.path.dirname(os.path.dirname(swagnn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "swagnn.cli",
+                           "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "augment" in proc.stdout
+    assert proc.stderr == ""

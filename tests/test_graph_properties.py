@@ -1,6 +1,10 @@
-"""Property tests of the TU text round trip and of the fold splitter."""
+"""Property tests of the TU text round trip, of the TU input boundary and
+of the fold splitter."""
 
+import contextlib
+import io
 import math
+import os
 import tempfile
 
 import numpy as np
@@ -9,6 +13,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from swagnn.cli import main  # noqa: E402
+from swagnn.errors import SwagError  # noqa: E402
 from swagnn.graphs import (Dataset, Graph, load_tu_dataset,  # noqa: E402
                            stratified_folds, write_tu_dataset)
 
@@ -48,6 +54,60 @@ def test_tu_write_load_round_trip(ds):
         np.testing.assert_array_equal(got.adjacency, want.adjacency)
         assert got.features.tobytes() == want.features.tobytes()
         assert got.label == used.index(want.label)
+
+
+# a valid set: a triangle, a path and a 1-node graph, with node labels and
+# two attribute columns
+VALID_TU = {
+    "A": ["1, 2", "2, 1", "2, 3", "3, 2", "1, 3", "3, 1", "4, 5", "5, 4", "5, 6", "6, 5"],
+    "graph_indicator": ["1", "1", "1", "2", "2", "2", "3"],
+    "graph_labels": ["1", "-1", "1"],
+    "node_labels": ["0", "1", "0", "2", "1", "0", "2"],
+    "node_attributes": ["0.5, 1.0", "0.1, 0.2", "0.0, -0.0", "2.0, 3.0", "4.0, 5.0",
+                        "1e-300, 7.0", "-1.5, 0.25"],
+}
+TOKENS = st.sampled_from(["0", "-1", "4", "8", "99", "1e9", "1.5", "x", "", "1, 2", "3, 3",
+                          "7, 1", "0, 1", "2,", "0.5, inf", "nan, 0.0", "-inf, 1.0"])
+MUTATIONS = st.tuples(st.sampled_from(sorted(VALID_TU)),
+                      st.sampled_from(["drop", "duplicate", "replace"]),
+                      st.integers(0, 20),
+                      TOKENS | st.text("0123456789-+,.eE ", max_size=6))
+
+
+def _mutated_tu(directory, mutations):
+    files = {key: list(lines) for key, lines in VALID_TU.items()}
+    for key, kind, at, token in mutations:
+        lines = files[key]
+        at %= max(len(lines), 1)
+        if kind == "drop" and lines:
+            del lines[at]
+        elif kind == "duplicate" and lines:
+            lines.insert(at, lines[at])
+        elif kind == "replace":
+            lines[at:at + 1] = [token]
+    for key, lines in files.items():
+        with open(os.path.join(directory, f"FUZZ_{key}.txt"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(MUTATIONS, min_size=1, max_size=3),
+       st.sampled_from(["edge-drop", "lga", "identity"]))
+def test_mutated_tu_input_ends_in_a_dataset_or_a_swag_error(mutations, augmenter):
+    with tempfile.TemporaryDirectory() as directory:
+        _mutated_tu(directory, mutations)
+        try:
+            assert isinstance(load_tu_dataset(directory, "FUZZ"), Dataset)
+        except SwagError:
+            pass
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["augment", "--dataset", "FUZZ", "--data-dir", directory,
+                         "--augmenter", augmenter, "--out", os.path.join(directory, "out")])
+    assert code in (0, 1)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 1:
+        assert stderr.getvalue().startswith("error: ")
 
 
 @st.composite

@@ -207,6 +207,17 @@ def test_load_tu_non_integer_token_names_file_and_line(tmp_path, filename, text,
     assert f"{filename}{where}" in str(exc.value)
 
 
+@pytest.mark.parametrize("edges", ["1, 2\n2, 1\n", "1, 3\n3, 1\n"])
+def test_load_tu_rejects_a_decreasing_graph_indicator(tmp_path, edges):
+    # with edges 1-2 this used to fail on the edge file; with 1-3 it loaded
+    d = write_fixture(tmp_path)
+    (tmp_path / "TOY" / "TOY_graph_indicator.txt").write_text("1\n2\n\n1\n2\n2\n")
+    (tmp_path / "TOY" / "TOY_A.txt").write_text(edges)
+    with pytest.raises(FormatError) as exc:
+        load_tu_dataset(d, "TOY")
+    assert "TOY_graph_indicator.txt:4: graph id decreases from 2 to 1" in str(exc.value)
+
+
 def test_load_tu_non_integer_node_label(tmp_path):
     d = write_fixture(tmp_path, with_node_labels=True)
     (tmp_path / "TOY" / "TOY_node_labels.txt").write_text("0\n1\n0\nC\n1\n")
@@ -268,6 +279,47 @@ def test_tu_round_trip(tmp_path):
         np.testing.assert_array_equal(g.adjacency, h.adjacency)
         np.testing.assert_allclose(g.features, h.features, atol=0)
         assert g.label == h.label
+
+
+def _adjacency(n, edges):
+    a = np.zeros((n, n))
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def test_write_tu_golden_files(tmp_path):
+    # one-hot rows and an isolated node; a 1-node graph holding -0.0 and
+    # 1e-300; integer-typed features on an unlabeled graph; fractional,
+    # huge and subnormal values
+    graphs = [
+        Graph(4, _adjacency(4, [(0, 1), (1, 2)]),
+              np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]), 1),
+        Graph(1, np.zeros((1, 1)), np.array([[-0.0, 1e-300, 0.25]]), 0),
+        Graph(3, _adjacency(3, [(0, 1), (1, 2), (0, 2)]),
+              np.array([[1, 2, 3], [0, -1, 7], [1, 2, 3]], dtype=np.int64), None),
+        Graph(2, _adjacency(2, [(0, 1)]),
+              np.array([[0.1, 1e300, -2.5], [1 / 3, 5e-324, 0.0]]), 2),
+    ]
+    write_tu_dataset(Dataset(graphs, 3, 3, "GOLD"), str(tmp_path))
+    expected = {
+        "A": "1, 2\n2, 1\n2, 3\n3, 2\n6, 7\n6, 8\n7, 6\n7, 8\n8, 6\n8, 7\n9, 10\n10, 9\n",
+        "graph_indicator": "1\n1\n1\n1\n2\n3\n3\n3\n4\n4\n",
+        "graph_labels": "1\n0\n0\n2\n",
+        "node_attributes": ("1.0, 0.0, 0.0\n0.0, 1.0, 0.0\n0.0, 0.0, 1.0\n1.0, 0.0, 0.0\n"
+                            "-0.0, 1e-300, 0.25\n"
+                            "1.0, 2.0, 3.0\n0.0, -1.0, 7.0\n1.0, 2.0, 3.0\n"
+                            "0.1, 1e+300, -2.5\n0.3333333333333333, 5e-324, 0.0\n"),
+    }
+    assert sorted(os.listdir(tmp_path)) == sorted(f"GOLD_{key}.txt" for key in expected)
+    for key, text in expected.items():
+        assert (tmp_path / f"GOLD_{key}.txt").read_bytes() == text.encode()
+
+
+def test_write_tu_empty_dataset(tmp_path):
+    write_tu_dataset(Dataset([], 1, 1, "EMPTY"), str(tmp_path))
+    for key in ("A", "graph_indicator", "graph_labels", "node_attributes"):
+        assert (tmp_path / f"EMPTY_{key}.txt").read_bytes() == b""
 
 
 def test_load_is_deterministic(tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import swagnn.training
 from swagnn import autodiff as ad
 from swagnn.augment import IdentityAugmenter, LgaAugmenter
 from swagnn.errors import ConfigError, TrainingError
@@ -17,6 +18,7 @@ from swagnn.training import (
     _run_fold,
     ablate,
     adapt,
+    cross_validate,
     make_toy_dataset,
     pretrain_ssl,
     softmax_cross_entropy,
@@ -179,6 +181,20 @@ def test_empty_validation_split_is_a_config_error():
     ds = Dataset(make_toy_dataset().graphs[2:6], 2, 1, "toy")
     with pytest.raises(ConfigError, match="fold 0 of 2 has no validation graph"):
         train_supervised(small_cfg(epochs=1), dataset=ds)
+
+
+def test_empty_validation_split_fails_before_pretraining(monkeypatch):
+    ds = Dataset(make_toy_dataset().graphs[2:6], 2, 1, "toy")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pretrain_ssl(*args, **kwargs)
+
+    monkeypatch.setattr(swagnn.training, "pretrain_ssl", counted)
+    with pytest.raises(ConfigError, match="fold 0 of 2 has no validation graph"):
+        cross_validate(small_cfg(mode="probe", augmenter="identity", epochs=1), dataset=ds)
+    assert calls == []
 
 
 def test_checkpoint_prefers_earliest_best_epoch():
