@@ -302,7 +302,8 @@ def write_tu_dataset(ds: Dataset, directory: str, name: str = None):
 
     Node features are emitted as ``_node_attributes.txt`` so that any
     feature matrix (including one-hot blocks) round-trips through
-    ``load_tu_dataset``.
+    ``load_tu_dataset``.  Each value is the ``repr`` of a float64, so
+    integer features print as ``1.0`` and ``-0.0`` keeps its sign.
     """
     name = name or ds.name
     os.makedirs(directory, exist_ok=True)
@@ -310,27 +311,15 @@ def write_tu_dataset(ds: Dataset, directory: str, name: str = None):
     # argwhere lists entries row-major, which is the canonical order
     edges = np.concatenate([np.argwhere(g.adjacency) + offset
                             for g, offset in zip(ds.graphs, offsets)] or [np.empty((0, 2), int)])
+    rows = np.concatenate([np.asarray(g.features, dtype=np.float64) for g in ds.graphs]
+                          or [np.empty((0, 0))])
     texts = {"A": "%d, %d\n" * len(edges) % tuple(edges.ravel().tolist()),
              "graph_indicator": "".join(f"{gi}\n" * g.n for gi, g in enumerate(ds.graphs, start=1)),
              "graph_labels": "".join(f"{0 if g.label is None else g.label}\n" for g in ds.graphs),
-             "node_attributes": _attribute_text(ds.graphs)}
+             "node_attributes": "".join(", ".join(map(repr, row)) + "\n" for row in rows.tolist())}
     for suffix, text in texts.items():
         with open(os.path.join(directory, f"{name}_{suffix}.txt"), "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _attribute_text(graphs: list) -> str:
-    """One ``repr``-formatted line per node.  Each distinct row is formatted
-    once, keyed on its bytes so that -0.0 keeps its sign; the float64 cast
-    prints integer features as ``1.0``."""
-    rows = np.concatenate([np.asarray(g.features, dtype=np.float64) for g in graphs]
-                          or [np.empty((0, 0))])
-    if rows.size == 0:
-        return "\n" * len(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-    row_of = {key: i for i, key in enumerate(keys)}
-    lines = {key: ", ".join(map(repr, rows[i].tolist())) + "\n" for key, i in row_of.items()}
-    return "".join(map(lines.__getitem__, keys))
 
 
 # ---------------------------------------------------------------------------
