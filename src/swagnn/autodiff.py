@@ -8,8 +8,8 @@ relu, transpose, row-wise log-softmax, sum/mean reductions, row-wise L2
 normalization and stop-gradient; the encoder itself is one fused node
 built with ``_node``.  Sigmoid and the trace of a matrix product serve
 ``kernel.hidden_adjacency`` and ``kernel.smoothed_kernel``, the tape form
-of the kernel that hidden-graph export and the kernel oracles use.  All
-arithmetic is double precision.
+of the kernel for one hidden graph, which only the kernel oracles use.
+All arithmetic is double precision.
 """
 
 from __future__ import annotations

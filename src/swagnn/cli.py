@@ -17,6 +17,7 @@ import sys
 
 from .augment import rank0_certified
 from .errors import ConfigError, SwagError
+from .graphs import stratified_folds
 from .reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
                         fold_csv, load_checkpoint, load_result, save_checkpoint,
                         save_result, summarize)
@@ -59,7 +60,7 @@ def build_config(args: argparse.Namespace, mode: str = None) -> TrainConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {args.config}: expected a JSON object")
@@ -90,9 +91,11 @@ def _save_run(result, cfg: TrainConfig):
     print(f"wrote {cfg.out}/result.json, folds.csv, checkpoint.npz")
 
 
-def _report_rank0(dataset, tau: float):
+def _report_rank0(dataset, cfg: TrainConfig, tau: float):
     """Print how many graphs the row-sum certificate puts at LGA rank 0
-    (their positives are empty graphs); warn when that is all of them."""
+    (their positives are empty graphs); warn when that is all of them.
+    Folds that cannot split the dataset stop the run before the report."""
+    stratified_folds(dataset, cfg.folds, cfg.seed)
     certified = sum(rank0_certified(g.adjacency, tau) for g in dataset.graphs)
     total = len(dataset.graphs)
     print(f"lga tau={tau:g}: {certified} of {total} graphs "
@@ -125,7 +128,7 @@ def cmd_pretrain(args) -> int:
     cfg = build_config(args, mode="pretrain")
     dataset = load_dataset(cfg)
     if cfg.augmenter == "lga":
-        _report_rank0(dataset, cfg.tau)
+        _report_rank0(dataset, cfg, cfg.tau)
     pre = pretrain_ssl(cfg, dataset)
     for fold, curve in enumerate(pre.loss_curves):
         print(f"fold {fold}: final loss {curve[-1]:.6f}")
@@ -158,7 +161,7 @@ def cmd_ablate(args) -> int:
     dataset = load_dataset(cfg)
     if args.param == "tau":
         for tau in values:
-            _report_rank0(dataset, tau)
+            _report_rank0(dataset, cfg, tau)
     results = ablate(cfg, args.param, values, dataset,
                      pretrain_epochs=args.pretrain_epochs)
     for value, result in zip(values, results):

@@ -173,18 +173,25 @@ def _read_lines(path: str) -> list:
         raise LoadError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_ints(path: str, non_decreasing: bool = False) -> list:
-    """One integer per non-blank line.  With ``non_decreasing`` (the graph
-    indicator) a value below the one before it is a FormatError."""
+def _read_ints(path: str, graph_ids: bool = False) -> list:
+    """One integer per non-blank line.  With ``graph_ids`` (the graph
+    indicator) the values must number the graphs 1..N in order: the first
+    is 1 and each next one repeats the one before or adds one, or a
+    FormatError names the line."""
     values = []
     for lineno, line in _read_lines(path):
         try:
             value = int(line)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: expected an integer, got {line!r}") from None
-        if non_decreasing and values and value < values[-1]:
-            raise FormatError(f"{path}:{lineno}: graph id decreases from {values[-1]} to {value}; "
-                              "each graph's nodes must be listed together, in graph order")
+        if graph_ids and value not in ((values[-1], values[-1] + 1) if values else (1,)):
+            if values and value < values[-1]:
+                raise FormatError(f"{path}:{lineno}: graph id decreases from {values[-1]} to "
+                                  f"{value}; each graph's nodes must be listed together, "
+                                  "in graph order")
+            where = f"after {values[-1]}" if values else "on the first line"
+            raise FormatError(f"{path}:{lineno}: graph id {value} {where}; graphs are "
+                              "numbered 1, 2, ... with none skipped")
         values.append(value)
     return values
 
@@ -193,8 +200,9 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     """Load a dataset in the TU plain-text layout.
 
     Mandatory files: ``<name>_A.txt`` (comma-separated 1-based edge list),
-    ``<name>_graph_indicator.txt`` (1-based graph id per node, never
-    decreasing, so each graph's nodes are consecutive) and
+    ``<name>_graph_indicator.txt`` (graph id per node: the graphs are
+    numbered 1..N and each graph's nodes are listed together, in graph
+    order) and
     ``<name>_graph_labels.txt`` (one integer per graph).  Optional
     ``<name>_node_labels.txt`` entries are one-hot encoded and optional
     ``<name>_node_attributes.txt`` rows are taken verbatim; when both
@@ -210,23 +218,17 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
         if not os.path.isfile(paths[key]):
             raise LoadError(f"missing mandatory file {paths[key]}")
 
-    indicator = _read_ints(paths["graph_indicator"], non_decreasing=True)
+    indicator = _read_ints(paths["graph_indicator"], graph_ids=True)
     if not indicator:
         raise LoadError(f"{paths['graph_indicator']} contains no node entries")
-    graph_ids = sorted(set(indicator))
     num_nodes = len(indicator)
 
     # global 1-based node id -> (graph position, local 0-based node index)
-    node_graph = np.empty(num_nodes, dtype=np.int64)
-    node_local = np.empty(num_nodes, dtype=np.int64)
-    sizes = {gid: 0 for gid in graph_ids}
-    gid_pos = {gid: i for i, gid in enumerate(graph_ids)}
-    for node, gid in enumerate(indicator):
-        node_graph[node] = gid_pos[gid]
-        node_local[node] = sizes[gid]
-        sizes[gid] += 1
+    node_graph = np.asarray(indicator, dtype=np.int64) - 1
+    sizes = np.bincount(node_graph)
+    node_local = np.arange(num_nodes) - (np.cumsum(sizes) - sizes)[node_graph]
 
-    adjacencies = [np.zeros((sizes[gid], sizes[gid])) for gid in graph_ids]
+    adjacencies = [np.zeros((n, n)) for n in sizes]
     for lineno, line in _read_lines(paths["A"]):
         try:
             u, v = line.split(",")
@@ -244,9 +246,9 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
         a[node_local[v - 1], node_local[u - 1]] = 1.0
 
     raw_labels = _read_ints(paths["graph_labels"])
-    if len(raw_labels) != len(graph_ids):
+    if len(raw_labels) != len(sizes):
         raise FormatError(f"{paths['graph_labels']}: {len(raw_labels)} labels "
-                          f"for {len(graph_ids)} graphs")
+                          f"for {len(sizes)} graphs")
     classes = sorted(set(raw_labels))
     remap = {c: i for i, c in enumerate(classes)}
     labels = [remap[c] for c in raw_labels]
@@ -255,7 +257,7 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
 
     graphs = [Graph(adjacencies[i].shape[0], adjacencies[i], features[i],
                     labels[i]).validate()
-              for i in range(len(graph_ids))]
+              for i in range(len(sizes))]
     return Dataset(graphs, len(classes), graphs[0].feature_dim, name)
 
 

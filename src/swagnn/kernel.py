@@ -6,6 +6,16 @@ walk length p is trace(B^p S B'^p S^T) with S the cross inner-product
 matrix between mapped input features and hidden features; the encoding
 concatenates these scalars for p = 1..P over all hidden graphs.
 
+``SwagParams`` holds the encoder as four tensors: the feature map's
+weight and bias, and the hidden-graph bank stacked as one M x m x m
+tensor of raw weights and one M x m x d_h tensor of features.  The numpy
+forward and backward work on the stacked bank directly, and
+``hidden_adjacencies`` turns the raw weights into every hidden graph's
+adjacency at once (hidden-graph export uses it too).  ``HiddenGraph``,
+``hidden_adjacency`` and ``smoothed_kernel`` are the same kernel for one
+hidden graph on the autodiff tape, kept as the oracle the encoder is
+checked against.
+
 With X~ = [X 1] and W~ = [W; b^T] (the feature map as one matrix) the
 kernel factors as <X~^T B^p X~, W~ F^T B'^p F W~^T>.  The forward does not
 use this (its rounding is pinned to the node-level products), but the
@@ -50,7 +60,9 @@ class KernelConfig:
 
 
 class HiddenGraph:
-    """A trainable weighted graph on a fixed small node set."""
+    """One trainable weighted graph on a fixed small node set, as tape
+    leaves: the form ``smoothed_kernel`` takes.  The encoder keeps its
+    hidden graphs stacked in ``SwagParams`` instead."""
 
     def __init__(self, raw_weights: Tensor, hidden_features: Tensor):
         m = raw_weights.data.shape[0]
@@ -63,118 +75,97 @@ class HiddenGraph:
         self.raw_weights = raw_weights
         self.hidden_features = hidden_features
 
-    @property
-    def num_nodes(self) -> int:
-        return self.raw_weights.data.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.hidden_features.data.shape[1]
-
-    @classmethod
-    def init(cls, m: int, d_h: int, rng: np.random.Generator) -> "HiddenGraph":
-        raw = ad.parameter(rng.standard_normal((m, m)))
-        feats = ad.parameter(rng.standard_normal((m, d_h)) / np.sqrt(d_h))
-        return cls(raw, feats)
-
 
 def hidden_adjacency(h: HiddenGraph) -> Tensor:
     """Effective adjacency: sigmoid of the symmetrized raw weights with a
     zero diagonal.  Symmetric with entries in (0,1) by construction."""
     sym = ad.scale(h.raw_weights + h.raw_weights.transpose(), 0.5)
-    mask = ad.constant(1.0 - np.eye(h.num_nodes))
+    mask = ad.constant(1.0 - np.eye(h.raw_weights.data.shape[0]))
     return sym.sigmoid() * mask
 
 
-class FeatureMap:
-    """Trainable affine map aligning input features with hidden features."""
-
-    def __init__(self, weight: Tensor, bias: Tensor):
-        if weight.data.shape[1] != bias.data.shape[0]:
-            raise ContractError("FeatureMap: bias length must match output dim")
-        self.weight = weight
-        self.bias = bias
-
-    @property
-    def input_dim(self) -> int:
-        return self.weight.data.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weight.data.shape[1]
-
-    @classmethod
-    def init(cls, d: int, d_h: int, rng: np.random.Generator) -> "FeatureMap":
-        bound = 1.0 / np.sqrt(d)
-        weight = ad.parameter(rng.uniform(-bound, bound, size=(d, d_h)))
-        bias = ad.parameter(rng.uniform(-bound, bound, size=d_h))
-        return cls(weight, bias)
-
-    def check_input(self, features: np.ndarray):
-        if features.shape[1] != self.input_dim:
-            raise ContractError(f"FeatureMap: expected {self.input_dim} input features, "
-                                f"got {features.shape[1]}")
-
-    def __call__(self, features: np.ndarray) -> Tensor:
-        self.check_input(features)
-        return ad.constant(features) @ self.weight + self.bias
+def hidden_adjacencies(raw: np.ndarray) -> np.ndarray:
+    """``hidden_adjacency`` of every graph of an M x m x m bank of raw
+    weights at once, in numpy, bit for bit the tape's values."""
+    m = raw.shape[-1]
+    return ad._sigmoid((raw + raw.transpose(0, 2, 1)) * 0.5) * (1.0 - np.eye(m))
 
 
 class SwagParams:
-    """All trainable encoder state: M hidden graphs plus the feature map."""
+    """All trainable encoder state, four tape leaves: the feature map
+    x -> x W + b (``weight`` d x d_h, ``bias`` d_h) and the bank of M
+    hidden graphs on m nodes, stacked as ``raw`` (M x m x m, the weights
+    that ``hidden_adjacencies`` turns into adjacencies) and ``features``
+    (M x m x d_h)."""
 
-    def __init__(self, hidden_graphs: list, feature_map: FeatureMap):
-        if not hidden_graphs:
-            raise ContractError("SwagParams: at least one hidden graph required")
-        m = hidden_graphs[0].num_nodes
-        d_h = hidden_graphs[0].feature_dim
-        for h in hidden_graphs:
-            if h.num_nodes != m or h.feature_dim != d_h:
-                raise ContractError("SwagParams: hidden graphs must share shapes")
-        if feature_map.output_dim != d_h:
-            raise ContractError("SwagParams: feature map output dim must match hidden features")
-        self.hidden_graphs = hidden_graphs
-        self.feature_map = feature_map
+    def __init__(self, weight: Tensor, bias: Tensor, raw: Tensor, features: Tensor):
+        if weight.data.ndim != 2 or bias.data.shape != weight.data.shape[1:]:
+            raise ContractError("SwagParams: bias length must match the feature map's output dim")
+        shape = raw.data.shape
+        if len(shape) != 3 or shape[0] < 1 or shape[1] < 2 or shape[1] != shape[2]:
+            raise ContractError(f"SwagParams: raw weights of shape {shape} are not M >= 1 "
+                                "square matrices on m >= 2 nodes")
+        if features.data.shape != shape[:2] + weight.data.shape[1:]:
+            raise ContractError("SwagParams: hidden features must be M x m x (feature map "
+                                "output dim)")
+        self.weight, self.bias, self.raw, self.features = weight, bias, raw, features
 
     @classmethod
     def init(cls, cfg: KernelConfig, input_dim: int, rng: np.random.Generator) -> "SwagParams":
-        graphs = [HiddenGraph.init(cfg.hidden_nodes, cfg.hidden_dim, rng)
-                  for _ in range(cfg.num_hidden)]
-        return cls(graphs, FeatureMap.init(input_dim, cfg.hidden_dim, rng))
+        m, d_h = cfg.hidden_nodes, cfg.hidden_dim
+        raw = np.empty((cfg.num_hidden, m, m))
+        features = np.empty((cfg.num_hidden, m, d_h))
+        for i in range(cfg.num_hidden):  # each hidden graph's draws, then the map's
+            raw[i] = rng.standard_normal((m, m))
+            features[i] = rng.standard_normal((m, d_h)) / np.sqrt(d_h)
+        bound = 1.0 / np.sqrt(input_dim)
+        weight = rng.uniform(-bound, bound, size=(input_dim, d_h))
+        bias = rng.uniform(-bound, bound, size=d_h)
+        return cls(*map(ad.parameter, (weight, bias, raw, features)))
 
     def parameters(self) -> list:
-        out = [self.feature_map.weight, self.feature_map.bias]
-        for h in self.hidden_graphs:
-            out.extend([h.raw_weights, h.hidden_features])
-        return out
+        return [self.weight, self.bias, self.raw, self.features]
 
     def copy(self) -> "SwagParams":
-        graphs = [HiddenGraph(ad.parameter(h.raw_weights.data.copy()),
-                              ad.parameter(h.hidden_features.data.copy()))
-                  for h in self.hidden_graphs]
-        fm = FeatureMap(ad.parameter(self.feature_map.weight.data.copy()),
-                        ad.parameter(self.feature_map.bias.data.copy()))
-        return SwagParams(graphs, fm)
+        return SwagParams(*[ad.parameter(p.data.copy()) for p in self.parameters()])
 
     def to_state(self) -> dict:
-        state = {"fm_weight": self.feature_map.weight.data.copy(),
-                 "fm_bias": self.feature_map.bias.data.copy()}
-        for i, h in enumerate(self.hidden_graphs):
-            state[f"hg{i}_raw"] = h.raw_weights.data.copy()
-            state[f"hg{i}_features"] = h.hidden_features.data.copy()
+        """The saved form: the feature map as ``fm_weight`` and ``fm_bias``,
+        hidden graph i as ``hg{i}_raw`` and ``hg{i}_features``."""
+        state = {"fm_weight": self.weight.data.copy(), "fm_bias": self.bias.data.copy()}
+        for i, (raw, features) in enumerate(zip(self.raw.data, self.features.data)):
+            state[f"hg{i}_raw"] = raw.copy()
+            state[f"hg{i}_features"] = features.copy()
         return state
 
     @classmethod
     def from_state(cls, state: dict) -> "SwagParams":
-        graphs = []
-        i = 0
-        while f"hg{i}_raw" in state:
-            graphs.append(HiddenGraph(ad.parameter(np.asarray(state[f"hg{i}_raw"])),
-                                      ad.parameter(np.asarray(state[f"hg{i}_features"]))))
-            i += 1
-        fm = FeatureMap(ad.parameter(np.asarray(state["fm_weight"])),
-                        ad.parameter(np.asarray(state["fm_bias"])))
-        return cls(graphs, fm)
+        """Inverse of ``to_state``; ``state_array`` checks each entry."""
+        weight = state_array(state, "fm_weight", (None, None))
+        d_h = weight.shape[1]
+        bias = state_array(state, "fm_bias", (d_h,))
+        m = state_array(state, "hg0_raw", (None, None)).shape[0]
+        count = len({key.split("_", 1)[0] for key in state if key.startswith("hg")})
+        raw = [state_array(state, f"hg{i}_raw", (m, m)) for i in range(count)]
+        features = [state_array(state, f"hg{i}_features", (m, d_h)) for i in range(count)]
+        return cls(*map(ad.parameter, (weight, bias, np.stack(raw), np.stack(features))))
+
+
+def state_array(state: dict, key: str, shape: tuple) -> np.ndarray:
+    """Entry ``key`` of a saved parameter state as an array.  ``shape`` gives
+    each axis's length, None where any length fits.  A missing entry
+    raises KeyError; one that is not real numbers, has another shape or
+    holds a non-finite value raises ContractError naming it."""
+    value = np.asarray(state[key])
+    if value.dtype.kind not in "iuf":
+        raise ContractError(f"entry {key!r} holds {value.dtype} values, not real numbers")
+    if value.ndim != len(shape) or any(want not in (None, got)
+                                       for want, got in zip(shape, value.shape)):
+        want = str(tuple(shape)).replace("None", "n")
+        raise ContractError(f"entry {key!r} has shape {value.shape}, expected {want}")
+    if not np.all(np.isfinite(value)):
+        raise ContractError(f"entry {key!r} holds a non-finite value")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +205,7 @@ def smoothed_kernel(B, Xm, h: HiddenGraph, p: int) -> Tensor:
         raise ContractError(f"smoothed_kernel: walk length must be >= 1, got {p}")
     b = B if isinstance(B, Tensor) else ad.constant(B)
     xm = Xm if isinstance(Xm, Tensor) else ad.constant(Xm)
-    if xm.data.shape[1] != h.feature_dim:
+    if xm.data.shape[1] != h.hidden_features.data.shape[1]:
         raise ContractError("smoothed_kernel: mapped features do not match hidden features")
     if b.data.shape != (xm.data.shape[0],) * 2:
         raise ContractError("smoothed_kernel: B must be square over the graph nodes")
@@ -230,34 +221,26 @@ def smoothed_kernel(B, Xm, h: HiddenGraph, p: int) -> Tensor:
     return ad.trace_product(left, right)
 
 
-def _hidden_weights(raws: list) -> np.ndarray:
-    """M x m x m: the sigmoid of each hidden graph's symmetrised raw
-    weights, the hidden adjacency before its diagonal is masked."""
-    return np.stack([ad._sigmoid((r.data + r.data.T) * 0.5) for r in raws])
-
-
 def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.ndarray:
     """The one numpy evaluation behind every encoder entry point.
 
     All hidden graphs are merged into one block-diagonal system so the
     hidden-side products happen once per call: with S = Xm F^T over the
-    concatenated hidden features F, the kernel for hidden graph h at walk
-    length p is the block-h column sum of (B^p S) * (Xm F^T Bhid^p).  The
-    column block sums go through a 0/1 ``group`` matmul, whose rounding
-    the encodings are pinned to.  Graphs run one at a time in buffers
-    sized by the largest graph.  Returns the len(graphs) x M*P encodings,
-    ordered hidden-graph-major, walk-length-minor.
+    stacked hidden features F (M*m x d_h), the kernel for hidden graph h at
+    walk length p is the block-h column sum of (B^p S) * (Xm F^T Bhid^p).
+    The column block sums go through a 0/1 ``group`` matmul, whose
+    rounding the encodings are pinned to.  Graphs run one at a time in
+    buffers sized by the largest graph.  Returns the len(graphs) x M*P
+    encodings, ordered hidden-graph-major, walk-length-minor.
     """
     if not graphs:
         raise ContractError("encode_batch: empty batch")
     m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
-    fm = params.feature_map
-    weight, bias = fm.weight.data, fm.bias.data
-    feats = np.concatenate([h.hidden_features.data for h in params.hidden_graphs], axis=0)
-    mask = 1.0 - np.eye(m)
+    weight, bias = params.weight.data, params.bias.data
+    feats = params.features.data.reshape(M * m, -1)
     bhid = np.zeros((M * m, M * m))
-    for i, sig in enumerate(_hidden_weights([h.raw_weights for h in params.hidden_graphs])):
-        bhid[i * m:(i + 1) * m, i * m:(i + 1) * m] = sig * mask
+    for i, adj in enumerate(hidden_adjacencies(params.raw.data)):
+        bhid[i * m:(i + 1) * m, i * m:(i + 1) * m] = adj
     # right-hand factors F^T Bhid^p, shared by every graph in the call
     right = [feats.T @ bhid]
     for _ in range(P - 1):
@@ -273,7 +256,9 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.
     rights = [np.empty((rows, M * m)) for _ in range(P)]
     out = np.empty((len(graphs), M * P))
     for gi, g in enumerate(graphs):
-        fm.check_input(g.features)
+        if g.feature_dim != len(weight):
+            raise ContractError(f"encode_batch: the feature map expects {len(weight)} input "
+                                f"features, got {g.feature_dim}")
         b = diffuse(g, cfg.diffusion)
         xm = g.features @ weight + bias
         left = np.matmul(b, xm @ feats.T, out=lefts[0][:g.n])
@@ -317,14 +302,12 @@ def _encoder_backward(grad: np.ndarray, parents: list, graphs: list, cfg: Kernel
     """
     m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
     n_graphs = grad.shape[0]
-    weight, bias = parents[:2]
-    raws, features = parents[2::2], parents[3::2]
+    weight, bias, raw, features = parents
     wt = np.vstack([weight.data, bias.data])
     d1 = wt.shape[0]
-    feats = np.stack([f.data for f in features])
+    feats = features.data
     mask = 1.0 - np.eye(m)
-    sig = _hidden_weights(raws)
-    adj = sig * mask
+    adj = hidden_adjacencies(raw.data)
     bf = [adj @ feats]  # bf[q] = B'^(q+1) F, per hidden graph
     for _ in range(P - 1):
         bf.append(adj @ bf[-1])
@@ -344,18 +327,13 @@ def _encoder_backward(grad: np.ndarray, parents: list, graphs: list, cfg: Kernel
         d_adj += acc @ bf[q - 1].transpose(0, 2, 1)
         acc = adj @ acc + feats @ q_[q - 1]
     d_adj += acc @ feats_t
-    half = d_adj * mask * sig * (1.0 - sig) * 0.5
+    # off the diagonal adj is the sigmoid itself, whose derivative is adj (1 - adj)
+    half = d_adj * mask * adj * (1.0 - adj) * 0.5
     d_raw = half + half.transpose(0, 2, 1)
 
-    if weight.requires_grad:
-        ad._accumulate(weight, d_wt[:-1])
-    if bias.requires_grad:
-        ad._accumulate(bias, d_wt[-1])
-    for raw, f, d_r, d_f in zip(raws, features, d_raw, d_feats):
-        if raw.requires_grad:
-            ad._accumulate(raw, d_r)
-        if f.requires_grad:
-            ad._accumulate(f, d_f)
+    for leaf, d in zip(parents, (d_wt[:-1], d_wt[-1], d_raw, d_feats)):
+        if leaf.requires_grad:
+            ad._accumulate(leaf, d)
 
 
 def encode_batch(graphs: list, params: SwagParams, cfg: KernelConfig) -> Tensor:

@@ -14,9 +14,9 @@ import zipfile
 
 import numpy as np
 
-from .errors import ConfigError, LoadError
+from .errors import ConfigError, ContractError, LoadError
 from .graphs import Dataset, write_tu_dataset
-from .kernel import SwagParams, hidden_adjacency
+from .kernel import SwagParams, hidden_adjacencies
 from .ssl import TwoLayerMLP
 from .training import ENCODER_FIELDS, RunResult, TrainConfig, load_dataset
 
@@ -103,7 +103,9 @@ def load_checkpoint(path: str, expect: TrainConfig = None):
     field and on the seed and fold count that fix the splits (so no test
     graph of the new run was a training graph of the old one), or
     ConfigError names the first that differs.  A file that is not such an
-    archive raises LoadError."""
+    archive, an entry that is missing or malformed, or (with ``expect``)
+    a hidden-graph bank of another size raises LoadError naming the file
+    and fold."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -141,10 +143,19 @@ def load_checkpoint(path: str, expect: TrainConfig = None):
         head_state = {key[len(head_prefix):]: value
                       for key, value in entries.items() if key.startswith(head_prefix)}
         try:
-            fold_params.append(SwagParams.from_state(enc_state))
+            params = SwagParams.from_state(enc_state)
             fold_heads.append(TwoLayerMLP.from_state(head_state) if head_state else None)
         except KeyError as exc:
             raise LoadError(f"{path}: fold {fold} has no {exc.args[0]!r} entry") from exc
+        except ContractError as exc:
+            raise LoadError(f"{path}: fold {fold}: {exc}") from exc
+        bank = params.features.data.shape
+        if expect is not None and bank != (expect.hidden_graphs, expect.hidden_nodes,
+                                           expect.hidden_dim):
+            raise LoadError(f"{path}: fold {fold} holds {bank[0]} hidden graphs of {bank[1]} "
+                            f"nodes with {bank[2]} features, not the {expect.hidden_graphs} of "
+                            f"{expect.hidden_nodes} with {expect.hidden_dim} its config gives")
+        fold_params.append(params)
     if not fold_params:
         raise LoadError(f"{path}: no fold parameters found")
     if any(h is None for h in fold_heads):
@@ -162,8 +173,7 @@ def export_hidden_graphs(params: SwagParams, threshold: float = 0.5,
     DOT file keeping edges with weight >= threshold.  Returns the paths."""
     os.makedirs(out, exist_ok=True)
     written = []
-    for i, h in enumerate(params.hidden_graphs):
-        weights = hidden_adjacency(h).data
+    for i, weights in enumerate(hidden_adjacencies(params.raw.data)):
         m = weights.shape[0]
         json_path = os.path.join(out, f"hidden_{i}.json")
         with open(json_path, "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
-from .kernel import KernelConfig, SwagParams, encode_batch
+from .kernel import KernelConfig, SwagParams, encode_batch, state_array
 
 
 class TwoLayerMLP:
@@ -41,14 +41,6 @@ class TwoLayerMLP:
         w2, b2 = layer(d_hidden, d_out)
         return cls(w1, b1, w2, b2)
 
-    @property
-    def input_dim(self) -> int:
-        return self.w1.data.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.w2.data.shape[1]
-
     def __call__(self, x: Tensor) -> Tensor:
         return (x @ self.w1 + self.b1).relu() @ self.w2 + self.b2
 
@@ -64,7 +56,12 @@ class TwoLayerMLP:
 
     @classmethod
     def from_state(cls, state: dict) -> "TwoLayerMLP":
-        return cls(*[ad.parameter(np.asarray(state[k])) for k in ("w1", "b1", "w2", "b2")])
+        """Inverse of ``to_state``; ``kernel.state_array`` checks each entry."""
+        w1 = state_array(state, "w1", (None, None))
+        width = w1.shape[1]
+        w2 = state_array(state, "w2", (width, None))
+        return cls(*map(ad.parameter, (w1, state_array(state, "b1", (width,)), w2,
+                                       state_array(state, "b2", w2.shape[1:]))))
 
 
 class ProjectionHead(TwoLayerMLP):

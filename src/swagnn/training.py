@@ -15,6 +15,7 @@ as an optimization sanity signal.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import time
@@ -96,6 +97,9 @@ class TrainConfig:
             raise ConfigError(f"TrainConfig: tau must be positive, got {self.tau}")
         if self.seed < 0:
             raise ConfigError(f"TrainConfig: seed must be >= 0, got {self.seed}")
+        # build the encoder and augmenter configs once: they check their fields
+        self.kernel_config()
+        self.make_augmenter()
 
     def kernel_config(self) -> KernelConfig:
         return KernelConfig(num_hidden=self.hidden_graphs,
@@ -233,6 +237,17 @@ def _check_finite(value: float, what: str, fold: int, epoch: int):
         raise TrainingError(f"{what} became non-finite at fold {fold}, epoch {epoch}")
 
 
+@contextlib.contextmanager
+def _overflow_checked(what: str, fold: int, epoch: int):
+    """numpy arithmetic inside that overflows or turns invalid is a
+    TrainingError naming the fold and epoch, not a warning and an inf."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingError(f"{what} overflowed at fold {fold}, epoch {epoch} ({exc})") from exc
+
+
 # ---------------------------------------------------------------------------
 # per-fold training
 # ---------------------------------------------------------------------------
@@ -258,11 +273,12 @@ def _epochs(opt: ad.Adam, rng: np.random.Generator, n: int, epochs: int,
         order = rng.permutation(n)
         total, seen = 0.0, 0
         for batch in _batch_indices(order, batch_size, min_last):
-            loss = batch_loss(batch, epoch)
-            _check_finite(loss.item(), what, fold, epoch)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
+            with _overflow_checked(what, fold, epoch):
+                loss = batch_loss(batch, epoch)
+                _check_finite(loss.item(), what, fold, epoch)
+                opt.zero_grad()
+                ad.backward(loss)
+                opt.step()
             total += loss.item() * len(batch)
             seen += len(batch)
         yield epoch, total / seen
@@ -291,7 +307,8 @@ def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, kcfg: KernelConfi
         return encode_numpy(graphs, params, kcfg)
 
     # a frozen encoder encodes each split once
-    train_enc, val_enc = (encode(train_graphs), encode(val_graphs)) if frozen else (None, None)
+    with _overflow_checked("encoding", fold, 0):
+        train_enc, val_enc = (encode(train_graphs), encode(val_graphs)) if frozen else (None, None)
 
     def batch_loss(batch, epoch):
         enc = (ad.constant(train_enc[batch]) if frozen
@@ -303,17 +320,19 @@ def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, kcfg: KernelConfi
     for epoch, mean_loss in _epochs(opt, rng, len(train_graphs), cfg.epochs, cfg.batch_size,
                                     batch_loss, "training loss", fold):
         loss_curve.append(mean_loss)
-        val_acc = _accuracy(val_enc if frozen else encode(val_graphs), val_labels, predictor)
+        with _overflow_checked("validation", fold, epoch):
+            val_acc = _accuracy(val_enc if frozen else encode(val_graphs), val_labels, predictor)
         val_curve.append(val_acc)
         if val_acc > best_val:
             best_val, best_epoch = val_acc, epoch
             best_state = _snapshot(trained)
 
-    final_train_acc = _accuracy(train_enc if frozen else encode(train_graphs),
-                                train_labels, predictor)
-    _restore(trained, best_state)
     test_graphs = [ds.graphs[i] for i in split.test_idx]
-    test_acc = _accuracy(encode(test_graphs), labels[split.test_idx], predictor)
+    with _overflow_checked("evaluation", fold, cfg.epochs - 1):
+        final_train_acc = _accuracy(train_enc if frozen else encode(train_graphs),
+                                    train_labels, predictor)
+        _restore(trained, best_state)
+        test_acc = _accuracy(encode(test_graphs), labels[split.test_idx], predictor)
     return {"test_accuracy": test_acc,
             "val_accuracy": best_val,
             "train_accuracy": final_train_acc,

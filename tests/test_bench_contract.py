@@ -1,12 +1,19 @@
 """The benchmark under ``bench/`` reaches into the library by name.  Its
 tracer skips a traced name the library no longer has, and that layer's
-metrics then read 0; these tests fail instead."""
+metrics then read 0; these tests fail instead.  Its encoder oracle reads
+``SwagParams.to_state()`` by key, and a renamed key would show only as
+failed checks in a benchmark run; a test here fails instead."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
+
+from swagnn.graphs import Graph
+from swagnn.kernel import KernelConfig, SwagParams, encode_numpy
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -68,3 +75,24 @@ def test_every_library_name_the_benchmark_uses_exists(script):
         except AttributeError:
             missing.append(f"{module}.{dotted}")
     assert not missing, f"bench/{script} uses names swagnn no longer has: {missing}"
+
+
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_to_state_has_every_key_the_bench_oracle_reads():
+    cfg = KernelConfig(num_hidden=3, hidden_nodes=4, hidden_dim=5, max_walk=2)
+    rng = np.random.default_rng(0)
+    params = SwagParams.init(cfg, 2, rng)
+    state = params.to_state()
+    assert set(state) == {"fm_weight", "fm_bias"} | {
+        f"hg{h}_{part}" for h in range(cfg.num_hidden) for part in ("raw", "features")}
+    a = np.triu((rng.random((6, 6)) < 0.5).astype(float), 1)
+    graphs = [Graph(6, a + a.T, rng.standard_normal((6, 2)))]
+    checks = bench_module("checks")
+    assert checks.check_encoder_oracle(graphs, encode_numpy(graphs, params, cfg), state,
+                                       cfg) is None

@@ -343,19 +343,43 @@ def write_foreign_fold_key(path, checkpoint):
     np.savez(path, __config__=np.array("{}"), **{"foldx/enc/fm_weight": np.ones(2)})
 
 
-def write_without_hidden_features(path, checkpoint):
-    with np.load(checkpoint) as archive:
-        entries = {key: archive[key] for key in archive.files}
-    del entries["fold0/enc/hg0_features"]
-    np.savez(path, **entries)
+def rewriting(key, change):
+    """A writer that copies the checkpoint with entry ``key`` changed to
+    ``change(value)``, or dropped when ``change`` is None."""
+    def write(path, checkpoint):
+        with np.load(checkpoint) as archive:
+            entries = {key: archive[key] for key in archive.files}
+        if change is None:
+            del entries[key]
+        else:
+            entries[key] = change(entries[key])
+        np.savez(path, **entries)
+    return write
 
 
 @pytest.mark.parametrize("write, message", [
     pytest.param(write_not_npz, "not a readable npz archive", id="not-npz"),
     pytest.param(write_without_config, "no __config__ entry", id="no-config"),
     pytest.param(write_foreign_fold_key, "no fold parameters found", id="foreign-fold-key"),
-    pytest.param(write_without_hidden_features, "fold 0 has no 'hg0_features' entry",
-                 id="no-hidden-features")])
+    pytest.param(rewriting("fold0/enc/hg0_features", None),
+                 "fold 0 has no 'hg0_features' entry", id="no-hidden-features"),
+    pytest.param(rewriting("fold0/enc/fm_weight", np.ravel),
+                 "fold 0: entry 'fm_weight' has shape (8,), expected (n, n)",
+                 id="1d-feature-map-weight"),
+    pytest.param(rewriting("fold0/enc/fm_bias", lambda v: v[0]),
+                 "fold 0: entry 'fm_bias' has shape (), expected (8,)", id="0d-feature-map-bias"),
+    pytest.param(rewriting("fold0/enc/hg0_features", np.ravel),
+                 "fold 0: entry 'hg0_features' has shape (32,), expected (4, 8)",
+                 id="1d-hidden-features"),
+    pytest.param(rewriting("fold1/head/w1", np.ravel),
+                 "fold 1: entry 'w1' has shape (128,), expected (n, n)", id="1d-head-weight"),
+    pytest.param(rewriting("fold0/enc/hg1_raw", lambda v: v[:3, :3]),
+                 "fold 0: entry 'hg1_raw' has shape (3, 3), expected (4, 4)",
+                 id="hidden-graphs-of-two-sizes"),
+    pytest.param(rewriting("fold0/enc/hg0_raw", lambda v: v.astype(str)),
+                 "fold 0: entry 'hg0_raw' holds <U", id="text-raw-weights"),
+    pytest.param(rewriting("fold0/enc/fm_bias", lambda v: np.full_like(v, np.inf)),
+                 "fold 0: entry 'fm_bias' holds a non-finite value", id="infinite-bias")])
 def test_unreadable_checkpoint_is_a_load_error(tmp_path, capsys, tiny_checkpoint,
                                                write, message):
     path = tmp_path / "bad.npz"

@@ -218,6 +218,21 @@ def test_load_tu_rejects_a_decreasing_graph_indicator(tmp_path, edges):
     assert "TOY_graph_indicator.txt:4: graph id decreases from 2 to 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("indicator, message", [
+    ("1\n1\n1\n3\n3\n", ":4: graph id 3 after 1"),
+    ("0\n0\n0\n1\n1\n", ":1: graph id 0 on the first line"),
+    ("2\n2\n2\n3\n3\n", ":1: graph id 2 on the first line"),
+    ("1\n1\n\n1\n2\n4\n", ":6: graph id 4 after 2")])
+def test_load_tu_rejects_graph_ids_that_do_not_run_1_to_n(tmp_path, indicator, message):
+    # with two label lines, 1, 1, 3 used to load as two graphs
+    d = write_fixture(tmp_path)
+    (tmp_path / "TOY" / "TOY_graph_indicator.txt").write_text(indicator)
+    with pytest.raises(FormatError) as exc:
+        load_tu_dataset(d, "TOY")
+    assert f"TOY_graph_indicator.txt{message}" in str(exc.value)
+    assert "numbered 1, 2, ... with none skipped" in str(exc.value)
+
+
 def test_load_tu_non_integer_node_label(tmp_path):
     d = write_fixture(tmp_path, with_node_labels=True)
     (tmp_path / "TOY" / "TOY_node_labels.txt").write_text("0\n1\n0\nC\n1\n")

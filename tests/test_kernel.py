@@ -9,7 +9,6 @@ from swagnn.autodiff import _accumulate, _as_tensor, _node
 from swagnn.errors import ConfigError, ContractError
 from swagnn.graphs import DiffusionConfig, Graph, diffuse
 from swagnn.kernel import (
-    FeatureMap,
     HiddenGraph,
     KernelConfig,
     SwagParams,
@@ -224,8 +223,9 @@ def test_encode_ordering_hidden_major():
     g = random_graph(rng, 4)
     enc = swag_encode(g, params, cfg).data
     b = diffuse(g, cfg.diffusion)
-    xm = g.features @ params.feature_map.weight.data + params.feature_map.bias.data
-    for h_idx, h in enumerate(params.hidden_graphs):
+    xm = g.features @ params.weight.data + params.bias.data
+    for h_idx in range(cfg.num_hidden):
+        h = HiddenGraph(take(params.raw, h_idx), take(params.features, h_idx))
         for p in (1, 2, 3):
             want = smoothed_kernel(b, xm, h, p).item()
             got = enc[h_idx * cfg.max_walk + (p - 1)]
@@ -249,7 +249,7 @@ def test_encode_single_node_zero_features():
     cfg = KernelConfig(num_hidden=2, hidden_nodes=3, hidden_dim=2, max_walk=2)
     rng = np.random.default_rng(3)
     params = make_params(rng, cfg, 1)
-    params.feature_map.bias.data[:] = 0.0  # zero bias so mapped features vanish
+    params.bias.data[:] = 0.0  # zero bias so mapped features vanish
     g = Graph(1, np.zeros((1, 1)), np.zeros((1, 1)))
     np.testing.assert_array_equal(swag_encode(g, params, cfg).data, np.zeros(4))
 
@@ -367,13 +367,27 @@ def block_diag(parts) -> ad.Tensor:
     return _node(out_data, parts, vjp, "block_diag")
 
 
+def take(t, i) -> ad.Tensor:
+    """Entry i of a tensor along its first axis: one hidden graph's slice
+    of a stacked ``SwagParams`` leaf."""
+    t = _as_tensor(t)
+
+    def vjp(g):
+        full = np.zeros_like(t.data)
+        full[i] = g
+        _accumulate(t, full)
+
+    return _node(t.data[i], (t,), vjp, "take")
+
+
 def tape_encode_batch(graphs, params, cfg):
     """The encoder composed from tape primitives (``ad`` and the layout
     ones above), one tape node per operation: the arithmetic ``encode_batch`` must reproduce bit for bit,
     and a second, independent derivation of its gradient."""
     m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
-    feats_all = concat_rows([h.hidden_features for h in params.hidden_graphs])
-    bhid_all = block_diag([hidden_adjacency(h) for h in params.hidden_graphs])
+    hidden = [HiddenGraph(take(params.raw, h), take(params.features, h)) for h in range(M)]
+    feats_all = concat_rows([h.hidden_features for h in hidden])
+    bhid_all = block_diag([hidden_adjacency(h) for h in hidden])
     right = [feats_all.transpose() @ bhid_all]
     for _ in range(P - 1):
         right.append(right[-1] @ bhid_all)
@@ -389,7 +403,7 @@ def tape_encode_batch(graphs, params, cfg):
     rows = []
     for g in graphs:
         b = ad.constant(diffuse(g, cfg.diffusion))
-        xm = params.feature_map(g.features)
+        xm = ad.constant(g.features) @ params.weight + params.bias
         left = b @ (xm @ feats_all.transpose())
         per_walk = []
         for q in range(P):
@@ -424,6 +438,10 @@ def test_concat_rows_and_block_diag(seed):
     d = ad.parameter(rng.standard_normal((3, 3)))
     w2 = rng.standard_normal((5, 5))
     check_grads(lambda: (block_diag([c, d]) * ad.constant(w2)).sum(), [c, d])
+
+    e = ad.parameter(rng.standard_normal((3, 2, 4)))
+    w3 = rng.standard_normal((2, 4))
+    check_grads(lambda: (take(e, 1) * ad.constant(w3)).sum(), [e])
 
 
 def test_block_diag_layout():
@@ -511,7 +529,7 @@ def test_encode_batch_is_one_tape_node():
 
 def test_encode_batch_gradients_skip_frozen_leaves():
     rng, cfg, params, graphs = encoder_case(*ENCODER_CASES[0])
-    frozen = params.hidden_graphs[1].raw_weights
+    frozen = params.raw
     frozen.requires_grad = False
     w = ad.constant(rng.standard_normal((len(graphs), cfg.output_dim)))
     ad.backward((encode_batch(graphs, params, cfg) * w).sum())
@@ -615,9 +633,27 @@ def test_params_copy_is_independent():
     cfg = KernelConfig(num_hidden=2, hidden_nodes=3, hidden_dim=2, max_walk=2)
     params = make_params(rng, cfg, 2)
     clone = params.copy()
-    clone.hidden_graphs[0].raw_weights.data[0, 1] += 5.0
-    assert params.hidden_graphs[0].raw_weights.data[0, 1] != \
-        clone.hidden_graphs[0].raw_weights.data[0, 1]
+    clone.raw.data[0, 0, 1] += 5.0
+    assert params.raw.data[0, 0, 1] != clone.raw.data[0, 0, 1]
+
+
+@pytest.mark.parametrize("num_hidden, m, d_h, d", [(1, 2, 1, 1), (3, 4, 5, 2), (16, 10, 32, 7)])
+def test_params_init_draws_one_hidden_graph_at_a_time(num_hidden, m, d_h, d):
+    cfg = KernelConfig(num_hidden=num_hidden, hidden_nodes=m, hidden_dim=d_h)
+    params = SwagParams.init(cfg, d, np.random.default_rng(12))
+    # each hidden graph's raw weights then its features, then the feature map
+    rng = np.random.default_rng(12)
+    raw, features = [], []
+    for _ in range(num_hidden):
+        raw.append(rng.standard_normal((m, m)))
+        features.append(rng.standard_normal((m, d_h)) / np.sqrt(d_h))
+    bound = 1.0 / np.sqrt(d)
+    weight = rng.uniform(-bound, bound, size=(d, d_h))
+    bias = rng.uniform(-bound, bound, size=d_h)
+    for leaf, want in zip(params.parameters(), (weight, bias, np.stack(raw), np.stack(features))):
+        assert leaf.data.tobytes() == want.tobytes()
+        assert leaf.data.shape == want.shape
+    assert len(params.parameters()) == 4
 
 
 def test_params_state_round_trip():
@@ -631,14 +667,16 @@ def test_params_state_round_trip():
 
 
 def test_params_shape_validation():
-    rng = np.random.default_rng(10)
-    h1 = HiddenGraph.init(3, 2, rng)
-    h2 = HiddenGraph.init(4, 2, rng)
-    fm = FeatureMap.init(2, 2, rng)
-    with pytest.raises(ContractError):
-        SwagParams([h1, h2], fm)
-    with pytest.raises(ContractError):
-        SwagParams([h1], FeatureMap.init(2, 3, rng))
+    weight = ad.parameter(np.ones((2, 2)))
+    for bias, raw, features in [
+            ((2,), (2, 3, 4), (2, 3, 2)),  # raw weights not square
+            ((2,), (0, 3, 3), (0, 3, 2)),  # no hidden graph
+            ((2,), (2, 1, 1), (2, 1, 2)),  # one-node hidden graphs
+            ((2,), (2, 3, 3), (2, 4, 2)),  # one feature row per node
+            ((2,), (2, 3, 3), (2, 3, 3)),  # hidden features wider than the map's output
+            ((3,), (2, 3, 3), (2, 3, 2))]:  # bias longer than the map's output
+        with pytest.raises(ContractError):
+            SwagParams(weight, *[ad.parameter(np.ones(shape)) for shape in (bias, raw, features)])
 
 
 def test_kernel_config_validation():
@@ -650,8 +688,3 @@ def test_kernel_config_validation():
         KernelConfig(max_walk=0)
     assert KernelConfig(num_hidden=8, max_walk=3).output_dim == 24
 
-
-def test_feature_map_input_dim_check():
-    fm = FeatureMap.init(3, 2, np.random.default_rng(0))
-    with pytest.raises(ContractError):
-        fm(np.ones((4, 2)))

@@ -7,7 +7,8 @@ import pytest
 from swagnn.augment import LgaAugmenter
 from swagnn.errors import ConfigError, LoadError
 from swagnn.graphs import Dataset, Graph, load_tu_dataset
-from swagnn.kernel import KernelConfig, SwagParams, hidden_adjacency
+from swagnn import autodiff as ad
+from swagnn.kernel import HiddenGraph, KernelConfig, SwagParams, hidden_adjacency
 from swagnn.reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
                               fold_csv, load_checkpoint, load_result,
                               save_checkpoint, save_result, summarize)
@@ -120,6 +121,30 @@ def test_checkpoint_without_heads(tmp_path):
     assert len(back_params) == 1
 
 
+# written by the per-hidden-graph layout that came before the stacked bank:
+# `swagnn pretrain --dataset toy --hidden-graphs 2 --hidden-nodes 3
+# --hidden-dim 2 --walk-len 2 --epochs 1 --folds 2 --batch-size 8 --seed 0
+# --augmenter identity --out ckpt` at commit 799efbc
+PER_GRAPH_CHECKPOINT = os.path.join(os.path.dirname(__file__), "fixtures",
+                                    "per_graph_checkpoint.npz")
+
+
+def test_a_per_graph_checkpoint_loads_bit_for_bit():
+    with np.load(PER_GRAPH_CHECKPOINT) as archive:
+        entries = {key: archive[key] for key in archive.files}
+    config = TrainConfig.from_dict(json.loads(str(entries["__config__"])))
+    fold_params, fold_heads, _ = load_checkpoint(PER_GRAPH_CHECKPOINT, expect=config)
+    assert len(fold_params) == len(fold_heads) == 2
+    for fold, (params, head) in enumerate(zip(fold_params, fold_heads)):
+        for part, state in (("enc", params.to_state()), ("head", head.to_state())):
+            stored = {key.split("/")[2]: value for key, value in entries.items()
+                      if key.startswith(f"fold{fold}/{part}/")}
+            assert state.keys() == stored.keys()
+            for key, value in state.items():
+                assert value.dtype == stored[key].dtype
+                assert value.tobytes() == stored[key].tobytes()
+
+
 def test_load_checkpoint_missing(tmp_path):
     with pytest.raises(LoadError):
         load_checkpoint(str(tmp_path / "nope.npz"))
@@ -130,8 +155,7 @@ def test_trained_state_is_checkpointable(toy_result, tmp_path):
     path = str(tmp_path / "trained.npz")
     save_checkpoint(path, [params], [predictor], toy_result.config)
     back_params, back_heads, _ = load_checkpoint(path)
-    assert np.array_equal(back_params[0].feature_map.weight.data,
-                          params.feature_map.weight.data)
+    assert np.array_equal(back_params[0].weight.data, params.weight.data)
     assert np.array_equal(back_heads[0].w1.data, predictor.w1.data)
 
 
@@ -143,7 +167,8 @@ def test_export_hidden_graphs(tmp_path):
     assert len(written) == 6
     for i in range(3):
         weights = np.array(read_json(os.path.join(out, f"hidden_{i}.json"))["weights"])
-        expect = hidden_adjacency(params.hidden_graphs[i]).data
+        expect = hidden_adjacency(HiddenGraph(ad.constant(params.raw.data[i]),
+                                              ad.constant(params.features.data[i]))).data
         assert np.max(np.abs(weights - expect)) <= 1e-12
         with open(os.path.join(out, f"hidden_{i}.dot")) as fh:
             dot = fh.read()

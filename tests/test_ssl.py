@@ -165,7 +165,7 @@ def test_head_widths():
     rng = np.random.default_rng(5)
     proj = ProjectionHead.for_encoder(24, rng)
     pred = ProjectionHead.for_encoder(24, rng)
-    assert proj.input_dim == 24 and proj.output_dim == 32
+    assert proj.w1.data.shape[0] == 24 and proj.w2.data.shape[1] == 32
     assert pred.w1.data.shape == (24, 32) and pred.w2.data.shape == (32, 32)
 
 
