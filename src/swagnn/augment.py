@@ -99,7 +99,7 @@ def _tridiagonalize(a: np.ndarray):
         v /= math.sqrt(2.0 * norm * (norm + abs(head)))
         block = work[k + 1:, k + 1:]
         p = 2.0 * (block @ v)
-        r = np.outer(v, p - (v @ p) * v)
+        r = v[:, None] * (p - (v @ p) * v)
         block -= r + r.T
         off[k] = -math.copysign(norm, head)
     if m > 1:
@@ -112,13 +112,24 @@ def _sturm_counts(diag, off2, pivmin, shifts, starts, ends):
     ``shifts`` is counted in the block [starts[j], ends[j]).  The count is
     the number of non-positive LDL^T pivots of T - sigma I in the block's
     rows; a pivot smaller than pivmin in magnitude becomes -pivmin
-    (LAPACK's guard), which keeps every division finite."""
+    (LAPACK's guard), which keeps every division finite.
+
+    A first pass runs without the guard.  Until a pivot falls below pivmin
+    the two passes do the same arithmetic, so the guarded pass reruns only
+    when some pivot of the first one is that small (or not a number); an
+    unguarded pivot cannot overflow before one is, since |off2 / pivot|
+    stays below 1 / tiny."""
     piv = diag[:, None] - shifts.ravel()[None, :]
-    for i in range(len(diag)):
-        row = piv[i]
-        if i:
-            row -= off2[i - 1] / piv[i - 1]
-        row[np.abs(row) < pivmin] = -pivmin
+    rows = list(piv)
+    with np.errstate(all="ignore"):  # a tiny pivot may divide by zero here
+        for prev, row, e2 in zip(rows, rows[1:], off2):
+            row -= e2 / prev
+    if not np.abs(piv).min() >= pivmin:
+        piv = diag[:, None] - shifts.ravel()[None, :]
+        for i, row in enumerate(piv):
+            if i:
+                row -= off2[i - 1] / piv[i - 1]
+            row[np.abs(row) < pivmin] = -pivmin
     below = np.zeros((len(diag) + 1, piv.shape[1]), dtype=np.int64)
     np.cumsum(piv <= 0, axis=0, out=below[1:])
     cols = np.arange(piv.shape[1]).reshape(shifts.shape)
@@ -159,7 +170,8 @@ def _inverse_iteration(diag, off, lam, starts, ends, tnorm):
     for j in range(1, k):
         same = starts[j] == starts[j - 1] and lam[j] - lam[j - 1] <= 1e-3 * tnorm
         first[j] = first[j - 1] if same else j
-    low, u0, u1, u2, swap = _tridiagonal_lu(diag, off, lam, _EPS * tnorm)
+    d, e = diag.tolist(), off.tolist()
+    factors = [_tridiagonal_lu(d, e, x, _EPS * tnorm) for x in lam.tolist()]
     start_vec = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     rows = np.arange(m)[:, None]
     vecs = np.zeros((m, k))
@@ -172,8 +184,8 @@ def _inverse_iteration(diag, off, lam, starts, ends, tnorm):
         passed = np.zeros(len(cols), dtype=bool)
         for _ in range(_MAX_INVERSE_ITERATIONS):
             x *= target / np.abs(x).sum(axis=0)
-            x = _tridiagonal_solve(low[:, cols], u0[:, cols], u1[:, cols], u2[:, cols],
-                                   swap[:, cols], x)
+            for j, c in enumerate(cols):
+                x[:, j] = _tridiagonal_solve(factors[c], x[:, j].tolist())
             for p in range(wave):
                 prev = vecs[:, first[cols] + p]
                 x -= prev * (prev * x).sum(axis=0)
@@ -191,49 +203,55 @@ def _inverse_iteration(diag, off, lam, starts, ends, tnorm):
 
 
 def _tridiagonal_lu(diag, off, lam, ptol):
-    """Gaussian elimination with row interchanges of T - lam_j I, every
-    column j at once.  Row i of the factors: multiplier ``low``, U's three
-    diagonals ``u0``/``u1``/``u2`` and whether rows i and i+1 swapped.  A
-    pivot below ptol in magnitude is raised to ptol."""
-    m, k = len(diag), len(lam)
-    u0 = diag[:, None] - lam[None, :]
-    u1 = np.repeat(off[:, None], k, axis=1)
-    u2 = np.zeros((max(m - 2, 0), k))
-    low = np.zeros((max(m - 1, 0), k))
-    swap = np.zeros((max(m - 1, 0), k), dtype=bool)
+    """Gaussian elimination with row interchanges of T - lam I for one
+    eigenvalue, on lists of Python floats: a row is a handful of scalar
+    operations, which numpy calls would cost more than they do.  Row i of
+    the factors: multiplier ``low``, U's three diagonals ``u0``/``u1``/
+    ``u2`` and whether rows i and i+1 swapped.  A pivot below ptol in
+    magnitude is raised to ptol."""
+    m = len(diag)
+    u0 = [d - lam for d in diag]
+    u1 = list(off)
+    u2 = [0.0] * max(m - 2, 0)
+    low = [0.0] * max(m - 1, 0)
+    swap = [False] * max(m - 1, 0)
     for i in range(m):
         a0 = u0[i]
-        a0[np.abs(a0) < ptol] = ptol
+        if abs(a0) < ptol:
+            a0 = u0[i] = ptol
         if i == m - 1 or off[i] == 0.0:
             continue
-        e, e_next = off[i], off[i + 1] if i + 2 < m else 0.0
-        sw = np.abs(a0) < abs(e)
-        a1, b0 = u1[i].copy(), u0[i + 1].copy()
-        pivot = np.where(sw, e, a0)
-        fact = np.where(sw, a0, e) / pivot
-        u0[i], u1[i] = pivot, np.where(sw, b0, a1)
-        u0[i + 1] = np.where(sw, a1, b0) - fact * u1[i]
+        e = off[i]
+        sw = abs(a0) < abs(e)
+        a1, b0 = u1[i], u0[i + 1]
+        fact = a0 / e if sw else e / a0
+        if sw:
+            u0[i], u1[i] = e, b0
+        u0[i + 1] = (a1 if sw else b0) - fact * u1[i]
         if i + 2 < m:
-            u2[i] = np.where(sw, e_next, 0.0)
-            u1[i + 1] = np.where(sw, 0.0, e_next) - fact * u2[i]
+            u2[i] = off[i + 1] if sw else 0.0
+            u1[i + 1] = (0.0 if sw else off[i + 1]) - fact * u2[i]
         low[i], swap[i] = fact, sw
     return low, u0, u1, u2, swap
 
 
-def _tridiagonal_solve(low, u0, u1, u2, swap, b):
-    """Solve with the factors of ``_tridiagonal_lu``, one column per shift."""
-    m = len(u0)
-    b = b.copy()
-    for i in range(m - 1):
-        top = np.where(swap[i], b[i + 1], b[i])
-        b[i + 1] = np.where(swap[i], b[i], b[i + 1]) - low[i] * top
-        b[i] = top
-    b[m - 1] /= u0[m - 1]
-    if m > 1:
-        b[m - 2] = (b[m - 2] - u1[m - 2] * b[m - 1]) / u0[m - 2]
-    for i in range(m - 3, -1, -1):
-        b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / u0[i]
-    return b
+def _tridiagonal_solve(factors, b):
+    """Solve with the factors of ``_tridiagonal_lu`` for the list ``b``."""
+    low, u0, u1, u2, swap = factors
+    y, cur = [], b[0]  # cur: row i of L^-1 b, which step i may still swap
+    for f, sw, nxt in zip(low, swap, b[1:]):
+        if sw:
+            y.append(nxt)
+            cur = cur - f * nxt
+        else:
+            y.append(cur)
+            cur = nxt - f * cur
+    x = [cur / u0[-1]]
+    if len(u0) > 1:
+        x.append((y[-1] - u1[-1] * x[-1]) / u0[-2])
+    for yi, d, e, e2 in zip(y[-2::-1], u0[-3::-1], u1[-2::-1], u2[::-1]):
+        x.append((yi - e * x[-1] - e2 * x[-2]) / d)
+    return x[::-1]
 
 
 def symmetric_eig(a: np.ndarray, threshold: float = None) -> SpectralDecomposition:
@@ -246,7 +264,10 @@ def symmetric_eig(a: np.ndarray, threshold: float = None) -> SpectralDecompositi
     is below eps |T|; Sturm counts at plus and minus the threshold, which
     give the kept rank without computing any eigenvalue; vectorised
     multisection for the wanted eigenvalues; inverse iteration for their
-    vectors; the back transformation by Q.  Sorted by descending
+    vectors; the back transformation by Q.  The Sturm passes run over all
+    shifts at once, a row per numpy call, and retry with LAPACK's pivot
+    guard only when a pivot needs it; inverse iteration factors and solves
+    one eigenvalue at a time in Python floats.  Sorted by descending
     |eigenvalue|, and the same bits on every call.
     """
     a = _check_symmetric(a, "symmetric_eig")
@@ -288,7 +309,7 @@ def symmetric_eig(a: np.ndarray, threshold: float = None) -> SpectralDecompositi
         vecs[:, many] = _inverse_iteration(diag, off, lam[many], first, last, tnorm)
     for k in range(len(refl) - 1, -1, -1):
         v = refl[k, k + 1:]
-        vecs[k + 1:] -= np.outer(v, 2.0 * (v @ vecs[k + 1:]))
+        vecs[k + 1:] -= v[:, None] * (2.0 * (v @ vecs[k + 1:]))
     order = np.argsort(-np.abs(lam), kind="stable")
     return SpectralDecomposition(lam[order], vecs[:, order])
 

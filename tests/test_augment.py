@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -193,6 +194,75 @@ def test_eig_is_bitwise_reproducible():
     np.testing.assert_array_equal(first.eigenvalues, again.eigenvalues)
     np.testing.assert_array_equal(first.eigenvectors, again.eigenvectors)
     np.testing.assert_array_equal(usvt_estimate(a, 0.5), usvt_estimate(a, 0.5))
+
+
+def tridiagonal(diag, off):
+    return np.diag(np.asarray(diag, dtype=float)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def guard_tripping_input():
+    """A tridiagonal matrix and a tau whose cut ``usvt_threshold`` equals
+    its first diagonal entry: the first Sturm pivot at that shift is an
+    exact zero, which LAPACK's pivmin guard replaces."""
+    a = tridiagonal([0.0, 3.0, -2.0, 4.0, 1.0, -1.0, 2.0, 0.5],
+                    [1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+    tau = 0.5
+    a[0, 0] = augment.usvt_threshold(a, tau * math.sqrt(len(a)))  # row 0 is not the largest sum
+    return a, tau
+
+
+def tridiagonal_cases():
+    """Inputs that are already tridiagonal, with thresholds: Householder
+    skips every column and the back transformation subtracts exact zeros,
+    so no BLAS rounding enters the result."""
+    wilkinson = tridiagonal(np.abs(np.arange(21) - 10.0), np.ones(20))  # close pairs
+    blocks = tridiagonal([2.0, -1.0, 0.5, 3.0, 0.0, 0.0, 0.0, 0.0, 1.0, -4.0],
+                         [0.0, 1.5, 0.0, 1.0, 1.0, 1.0, 1.0, 1e-20, 0.0])  # 1x1 blocks
+    guard, tau = guard_tripping_input()
+    return {"wilkinson": (wilkinson, [None, 5.0, 9.0]),
+            "blocks": (blocks, [None, 0.9, 2.5]),
+            "guard": (guard, [None, tau * math.sqrt(len(guard))])}
+
+
+# recorded at commit 3d485d9, before the tridiagonal LU and solve ran one
+# eigenvalue at a time on Python floats
+TRIDIAGONAL_EIG = os.path.join(os.path.dirname(__file__), "fixtures", "tridiagonal_eig.npz")
+
+
+@pytest.mark.parametrize("name", ["wilkinson", "blocks", "guard"])
+def test_tridiagonal_stage_is_pinned_bit_for_bit(name):
+    # the Sturm guard, LU row swaps, clusters reorthogonalised in waves and
+    # splits into blocks (1x1 ones too) all round exactly as recorded
+    a, thresholds = tridiagonal_cases()[name]
+    with np.load(TRIDIAGONAL_EIG) as want:
+        for i, threshold in enumerate(thresholds):
+            dec = symmetric_eig(a, threshold=threshold)
+            for part, got in (("values", dec.eigenvalues), ("vectors", dec.eigenvectors)):
+                stored = want[f"{name}/{i}/{part}"]
+                assert got.shape == stored.shape
+                assert got.tobytes() == stored.tobytes(), (name, threshold, part)
+
+
+def test_usvt_under_raising_floating_point_state_keeps_its_bits():
+    # pretraining runs LGA with overflow and invalid operations raising
+    a, tau = guard_tripping_input()
+    theta, rank = usvt_with_rank(a, tau)
+    with np.errstate(all="raise"):
+        raised, raised_rank = usvt_with_rank(a, tau)
+    assert rank == raised_rank > 0
+    assert theta.tobytes() == raised.tobytes()
+
+
+def test_usvt_needs_no_library_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("eigh", "eigvalsh", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    a = generate_sbm([30, 30, 30], 0.8, 0.1, seed=7).adjacency
+    theta, rank = usvt_with_rank(a, 1.0)
+    assert rank == 3
+    assert np.all((theta >= 0) & (theta <= 1))
 
 
 def test_eig_rejects_asymmetric():
