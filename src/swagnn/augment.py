@@ -20,6 +20,10 @@ from .graphs import Graph
 _SYMMETRY_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
+# dsyev's range for the largest |entry| (rmin, rmax): outside it the
+# reduction's squares could overflow or underflow, so the matrix is scaled
+_SCALE_MIN = math.sqrt(_SAFE_MIN / _EPS)
+_SCALE_MAX = 1.0 / _SCALE_MIN
 # Ties: an eigenvalue within _TIE_MULTIPLE * n * eps * |A|_inf of the USVT
 # threshold counts as reaching it (see ``usvt_threshold``).
 _TIE_MULTIPLE = 8
@@ -269,11 +273,23 @@ def symmetric_eig(a: np.ndarray, threshold: float = None) -> SpectralDecompositi
     guard only when a pivot needs it; inverse iteration factors and solves
     one eigenvalue at a time in Python floats.  Sorted by descending
     |eigenvalue|, and the same bits on every call.
+
+    As in dsyev, a matrix whose largest |entry| lies outside [_SCALE_MIN,
+    _SCALE_MAX] is solved, together with the threshold, scaled by the power
+    of two that brings that entry into [0.5, 1); the scaling is exact, and
+    the eigenvalues are scaled back.
     """
     a = _check_symmetric(a, "symmetric_eig")
     m = a.shape[0]
     if m == 0:
         return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
+    anrm = float(np.abs(a).max())
+    shift = 0 if anrm == 0 or _SCALE_MIN <= anrm <= _SCALE_MAX else -math.frexp(anrm)[1]
+    if shift:
+        a = np.ldexp(a, shift)
+        if threshold is not None:
+            with np.errstate(over="ignore"):  # an infinite threshold still keeps nothing
+                threshold = float(np.ldexp(threshold, shift))
     diag, off, refl = _tridiagonalize(a)
     tnorm = float(np.max(np.abs(diag) + np.r_[np.abs(off), 0.0] + np.r_[0.0, np.abs(off)]))
     off[np.abs(off) <= _EPS * tnorm] = 0.0
@@ -311,7 +327,7 @@ def symmetric_eig(a: np.ndarray, threshold: float = None) -> SpectralDecompositi
         v = refl[k, k + 1:]
         vecs[k + 1:] -= v[:, None] * (2.0 * (v @ vecs[k + 1:]))
     order = np.argsort(-np.abs(lam), kind="stable")
-    return SpectralDecomposition(lam[order], vecs[:, order])
+    return SpectralDecomposition(np.ldexp(lam[order], -shift), vecs[:, order])
 
 
 def usvt_with_rank(a: np.ndarray, tau: float):
@@ -402,8 +418,6 @@ class LgaAugmenter:
     reproducible sampling stream.
     """
 
-    name = "lga"
-
     def __init__(self, tau: float, seed: int = 0):
         if not (tau > 0):
             raise ConfigError(f"LgaAugmenter: tau must be positive, got {tau}")
@@ -428,8 +442,6 @@ class LgaAugmenter:
 
 
 class EdgeDropAugmenter:
-    name = "edge-drop"
-
     def __init__(self, rate: float, seed: int = 0):
         if not (0.0 <= rate <= 1.0):
             raise ConfigError(f"EdgeDropAugmenter: rate {rate} outside [0,1]")
@@ -441,17 +453,17 @@ class EdgeDropAugmenter:
 
 
 class IdentityAugmenter:
-    name = "identity"
-
     def augment(self, g: Graph, index: int, epoch: int) -> Graph:
         return g
 
 
+# augmenter name -> constructor from the run's knobs
+AUGMENTERS = {"lga": lambda tau, drop_rate, seed: LgaAugmenter(tau, seed),
+              "edge-drop": lambda tau, drop_rate, seed: EdgeDropAugmenter(drop_rate, seed),
+              "identity": lambda tau, drop_rate, seed: IdentityAugmenter()}
+
+
 def make_augmenter(name: str, *, tau: float, drop_rate: float, seed: int):
-    if name == "lga":
-        return LgaAugmenter(tau, seed)
-    if name == "edge-drop":
-        return EdgeDropAugmenter(drop_rate, seed)
-    if name == "identity":
-        return IdentityAugmenter()
-    raise ConfigError(f"unknown augmenter {name!r} (expected lga, edge-drop or identity)")
+    if name not in AUGMENTERS:
+        raise ConfigError(f"unknown augmenter {name!r} (expected one of {', '.join(AUGMENTERS)})")
+    return AUGMENTERS[name](tau, drop_rate, seed)

@@ -2,9 +2,10 @@
 
 Subcommands cover the full workflow: supervised training, self-supervised
 pretraining, probe/finetune adaptation, ablation sweeps, offline dataset
-augmentation, hidden-graph export and report inspection.  Training flags
-mirror TrainConfig; a JSON config file supplies defaults and explicit
-flags override it.
+augmentation, hidden-graph export and report inspection.  Every
+TrainConfig field but ``mode`` is a flag of the same name, with its type
+and choices; a JSON config file supplies defaults and explicit flags
+override it.  A run's output directory is made before the run starts.
 """
 
 from __future__ import annotations
@@ -21,40 +22,28 @@ from .graphs import stratified_folds
 from .reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
                         fold_csv, load_checkpoint, load_result, save_checkpoint,
                         save_result, summarize)
-from .training import (PretrainResult, TrainConfig, ablate, adapt, cross_validate,
-                       load_dataset, pretrain_ssl, train_supervised)
+from .training import (ABLATIONS, ADAPT_MODES, CHOICES, FIELD_TYPES, PretrainResult,
+                       TrainConfig, ablate, adapt, cross_validate, load_dataset, pretrain_ssl)
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
 
 
 def _config_parent() -> argparse.ArgumentParser:
+    """``--config`` and one flag per TrainConfig field but ``mode``, which
+    the subcommand sets."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="FILE",
                    help="JSON file with TrainConfig fields; flags override it")
-    p.add_argument("--dataset")
-    p.add_argument("--data-dir")
-    p.add_argument("--hidden-graphs", type=int, metavar="M")
-    p.add_argument("--hidden-nodes", type=int, metavar="m")
-    p.add_argument("--hidden-dim", type=int, metavar="d_h")
-    p.add_argument("--walk-len", type=int, metavar="P")
-    p.add_argument("--diff-steps", type=int, metavar="J")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--drop-rate", type=float)
-    p.add_argument("--augmenter", choices=["lga", "edge-drop", "identity"])
-    p.add_argument("--objective", choices=["infonce", "simsiam"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    for f in dataclasses.fields(TrainConfig):
+        if f.name != "mode":
+            p.add_argument("--" + f.name.replace("_", "-"), type=FIELD_TYPES[f.type][1],
+                           choices=CHOICES.get(f.name))
     return p
 
 
 def build_config(args: argparse.Namespace, mode: str = None) -> TrainConfig:
-    """Defaults, then config file values, then explicit flags; the
-    subcommand finally pins the mode."""
+    """Defaults, then config file values, then explicit flags and the mode
+    a subcommand sets (or ``mode``)."""
     values = TrainConfig().to_dict()
     if getattr(args, "config", None):
         try:
@@ -77,10 +66,19 @@ def build_config(args: argparse.Namespace, mode: str = None) -> TrainConfig:
     return TrainConfig.from_dict(values)
 
 
+def _make_out(path: str):
+    """Create the output directory ``path``, if one is given, so that a
+    path that cannot be a directory fails before any work is done."""
+    if path:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _save_run(result, cfg: TrainConfig):
     if not cfg.out:
         return
-    os.makedirs(cfg.out, exist_ok=True)
     save_result(result, os.path.join(cfg.out, "result.json"))
     fold_csv(result, os.path.join(cfg.out, "folds.csv"))
     if result.fold_states:
@@ -106,7 +104,7 @@ def _report_rank0(dataset, cfg: TrainConfig, tau: float):
 
 
 def _parse_values(parameter: str, text: str) -> list:
-    cast = float if parameter == "tau" else int
+    cast = ABLATIONS[parameter]
     try:
         values = [cast(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
@@ -116,16 +114,9 @@ def _parse_values(parameter: str, text: str) -> list:
     return values
 
 
-def cmd_train(args) -> int:
-    cfg = build_config(args, mode="supervised")
-    result = train_supervised(cfg)
-    print(summarize(result))
-    _save_run(result, cfg)
-    return 0
-
-
 def cmd_pretrain(args) -> int:
-    cfg = build_config(args, mode="pretrain")
+    cfg = build_config(args)
+    _make_out(cfg.out)
     dataset = load_dataset(cfg)
     if cfg.augmenter == "lga":
         _report_rank0(dataset, cfg, cfg.tau)
@@ -133,7 +124,6 @@ def cmd_pretrain(args) -> int:
     for fold, curve in enumerate(pre.loss_curves):
         print(f"fold {fold}: final loss {curve[-1]:.6f}")
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
         ckpt = os.path.join(cfg.out, "pretrained.npz")
         save_checkpoint(ckpt, pre.fold_params, pre.fold_heads, cfg.to_dict())
         with open(os.path.join(cfg.out, "loss_curves.json"), "w",
@@ -143,8 +133,11 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def cmd_adapt(args, mode: str) -> int:
-    cfg = build_config(args, mode=mode)
+def cmd_run(args) -> int:
+    """train, probe and finetune: one cross-validated run of the
+    subcommand's mode, adapting the encoders of ``--checkpoint`` if given."""
+    cfg = build_config(args)
+    _make_out(cfg.out)
     if args.checkpoint:
         fold_params, fold_heads, config = load_checkpoint(args.checkpoint, expect=cfg)
         result = adapt(PretrainResult(fold_params, fold_heads, [], config), cfg)
@@ -158,6 +151,7 @@ def cmd_adapt(args, mode: str) -> int:
 def cmd_ablate(args) -> int:
     cfg = build_config(args)
     values = _parse_values(args.param, args.values)
+    _make_out(cfg.out)
     dataset = load_dataset(cfg)
     if args.param == "tau":
         for tau in values:
@@ -168,7 +162,6 @@ def cmd_ablate(args) -> int:
         print(f"{args.param}={value}: accuracy {result.mean_accuracy:.4f} "
               f"+/- {result.std_accuracy:.4f}")
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, "ablation.csv")
         ablation_csv(values, results, path)
         print(f"wrote {path}")
@@ -177,6 +170,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = build_config(args)
+    _make_out(cfg.out)
     manifest = augment_dataset(cfg)
     print(f"wrote {manifest}")
     return 0
@@ -187,6 +181,7 @@ def cmd_export_hidden(args) -> int:
     if not (0 <= args.fold < len(fold_params)):
         raise ConfigError(f"--fold {args.fold} out of range "
                           f"(checkpoint has {len(fold_params)} folds)")
+    _make_out(args.out)
     written = export_hidden_graphs(fold_params[args.fold],
                                    threshold=args.threshold, out=args.out)
     print(f"wrote {len(written)} files to {args.out}")
@@ -197,7 +192,10 @@ def cmd_report(args) -> int:
     result = load_result(args.result)
     print(summarize(result))
     if args.csv:
-        fold_csv(result, args.csv)
+        try:
+            fold_csv(result, args.csv)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.csv}: {exc}") from exc
         print(f"wrote {args.csv}")
     return 0
 
@@ -210,29 +208,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = _config_parent()
 
-    sub.add_parser("train", parents=[common],
-                   help="supervised cross-validated training")
+    # train, pretrain, probe and finetune pin the mode; ablate and augment
+    # take it from the config file
+    p = sub.add_parser("train", parents=[common],
+                       help="supervised cross-validated training")
+    p.set_defaults(run=cmd_run, mode="supervised", checkpoint=None, pretrain_epochs=None)
 
-    sub.add_parser("pretrain", parents=[common],
-                   help="self-supervised pretraining, one encoder per fold")
+    p = sub.add_parser("pretrain", parents=[common],
+                       help="self-supervised pretraining, one encoder per fold")
+    p.set_defaults(run=cmd_pretrain, mode="pretrain")
 
-    for mode in ("probe", "finetune"):
+    for mode in ADAPT_MODES:
         p = sub.add_parser(mode, parents=[common],
                            help=f"pretrain (or load --checkpoint) then {mode}")
         p.add_argument("--checkpoint", metavar="NPZ",
                        help="pretrained encoder archive; skips pretraining")
         p.add_argument("--pretrain-epochs", type=int,
                        help="epoch budget for the internal pretraining")
+        p.set_defaults(run=cmd_run, mode=mode)
 
     p = sub.add_parser("ablate", parents=[common],
                        help="sweep tau or the hidden-graph count")
-    p.add_argument("--param", required=True, choices=["tau", "num_hidden"])
+    p.add_argument("--param", required=True, choices=tuple(ABLATIONS))
     p.add_argument("--values", required=True,
                    help="comma-separated sweep values, e.g. 0.3,2.02,4.2")
     p.add_argument("--pretrain-epochs", type=int)
+    p.set_defaults(run=cmd_ablate)
 
-    sub.add_parser("augment", parents=[common],
-                   help="write one augmented draw of the dataset to --out")
+    p = sub.add_parser("augment", parents=[common],
+                       help="write one augmented draw of the dataset to --out")
+    p.set_defaults(run=cmd_augment)
 
     p = sub.add_parser("export-hidden",
                        help="dump hidden graphs from a checkpoint as JSON and DOT")
@@ -240,25 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", default=".")
+    p.set_defaults(run=cmd_export_hidden)
 
     p = sub.add_parser("report", help="print a saved result file")
     p.add_argument("result", help="path to a result.json")
     p.add_argument("--csv", help="also write the per-fold CSV here")
+    p.set_defaults(run=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"train": cmd_train,
-                "pretrain": cmd_pretrain,
-                "probe": lambda a: cmd_adapt(a, "probe"),
-                "finetune": lambda a: cmd_adapt(a, "finetune"),
-                "ablate": cmd_ablate,
-                "augment": cmd_augment,
-                "export-hidden": cmd_export_hidden,
-                "report": cmd_report}
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except SwagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -109,12 +109,18 @@ def make_ssl_batch(graphs: list, augmenter, params: SwagParams, cfg: KernelConfi
 # losses
 # ---------------------------------------------------------------------------
 
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of the true classes."""
+    onehot = np.zeros(logits.data.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    picked = ad.reduce_sum(ad.log_softmax(logits) * ad.constant(onehot), axis=1)
+    return ad.scale(picked.mean(), -1.0)
+
+
 def infonce_from_similarities(sim: Tensor) -> Tensor:
     """Mean negative log-probability of each diagonal entry under a row
     softmax."""
-    eye = ad.constant(np.eye(sim.data.shape[0]))
-    diag = ad.reduce_sum(ad.log_softmax(sim) * eye, axis=1)
-    return ad.scale(diag.mean(), -1.0)
+    return softmax_cross_entropy(sim, np.arange(sim.data.shape[0]))
 
 
 def infonce_loss(batch: SSLBatch, head) -> Tensor:
@@ -143,3 +149,9 @@ def noncontrastive_loss(batch: SSLBatch, head) -> Tensor:
     z_a = head(batch.anchors)
     z_p = ad.stop_gradient(head(batch.positives))
     return ad.scale(cosine_rows(z_a, z_p).mean(), -1.0)
+
+
+# objective name -> (loss, smallest batch it accepts); each lambda looks its
+# loss up when called, so a wrapper bound over the module's name sees the call
+OBJECTIVES = {"infonce": (lambda batch, head: infonce_loss(batch, head), 2),
+              "simsiam": (lambda batch, head: noncontrastive_loss(batch, head), 1)}

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError, TrainingError
 from .graphs import (
     Dataset,
@@ -38,30 +37,42 @@ from .graphs import (
 )
 from .kernel import KernelConfig, SwagParams, encode_batch, encode_numpy
 from .ssl import (
+    OBJECTIVES,
     ProjectionHead,
     TwoLayerMLP,
-    infonce_loss,
     make_ssl_batch,
-    noncontrastive_loss,
+    softmax_cross_entropy,
 )
-from .augment import make_augmenter
+from .augment import AUGMENTERS, make_augmenter
 
 PREDICTOR_HIDDEN = 32
 TAU_GUIDANCE = (0.3, 4.2)
 # the modes that adapt a pretrained encoder
 ADAPT_MODES = ("probe", "finetune")
+MODES = ("supervised", "pretrain") + ADAPT_MODES
+# the TrainConfig fields that take one of a fixed set of values
+CHOICES = {"mode": MODES, "augmenter": tuple(AUGMENTERS), "objective": tuple(OBJECTIVES)}
+# ablation parameter -> the type of its swept values
+ABLATIONS = {"tau": float, "num_hidden": int}
 # the TrainConfig fields that kernel_config() turns into the encoder: a
 # saved encoder only fits a config that agrees on every one of them
 ENCODER_FIELDS = ("hidden_graphs", "hidden_nodes", "hidden_dim", "walk_len",
                   "diff_steps", "alpha")
 
-# the JSON values each TrainConfig annotation, as text, accepts; bool is
-# rejected although Python counts it as an int
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+# each TrainConfig annotation, as text: the JSON values it accepts (bool is
+# rejected although Python counts it as an int) and its command-line flag's type
+FIELD_TYPES = {"int": (int, int), "float": ((int, float), float), "str": (str, str),
+               "str | None": ((str, type(None)), str)}
 
 
 @dataclass
 class TrainConfig:
+    """One run's settings.  In the paper's symbols: ``hidden_graphs`` is M,
+    ``hidden_nodes`` m, ``hidden_dim`` d_h, ``walk_len`` P and ``diff_steps``
+    J.  Every field but ``mode`` is also a command-line flag of the same
+    name (``hidden_graphs`` -> ``--hidden-graphs``); ``CHOICES`` lists the
+    values a field may take where that is a fixed set."""
+
     dataset: str = "toy"
     data_dir: str = "."
     mode: str = "supervised"
@@ -83,10 +94,10 @@ class TrainConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("supervised", "pretrain", "probe", "finetune"):
-            raise ConfigError(f"TrainConfig: unknown mode {self.mode!r}")
-        if self.objective not in ("infonce", "simsiam"):
-            raise ConfigError(f"TrainConfig: unknown objective {self.objective!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"TrainConfig: unknown {name} {getattr(self, name)!r} "
+                                  f"(expected one of {', '.join(allowed)})")
         if self.epochs < 1:
             raise ConfigError(f"TrainConfig: epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -123,7 +134,7 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"TrainConfig: unknown fields {sorted(unknown)}")
         for name, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[types[name]]):
+            if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[types[name]][0]):
                 raise ConfigError(f"TrainConfig: {name} must be of type {types[name]}, "
                                   f"got {value!r}")
         return cls(**values)
@@ -173,14 +184,6 @@ class Predictor(TwoLayerMLP):
     def for_task(cls, input_dim: int, num_classes: int,
                  rng: np.random.Generator) -> "Predictor":
         return cls.init(input_dim, PREDICTOR_HIDDEN, num_classes, rng)
-
-
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of the true classes."""
-    onehot = np.zeros(logits.data.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    picked = ad.reduce_sum(ad.log_softmax(logits) * ad.constant(onehot), axis=1)
-    return ad.scale(picked.mean(), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +387,7 @@ def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig,
     rng = np.random.default_rng([cfg.seed, fold, 1])
     params = SwagParams.init(kcfg, ds.feature_dim, rng)
     head = ProjectionHead.for_encoder(kcfg.output_dim, rng)
-    if cfg.objective == "infonce":
-        loss_fn, min_batch = infonce_loss, 2
-    else:
-        loss_fn, min_batch = noncontrastive_loss, 1
+    loss_fn, min_batch = OBJECTIVES[cfg.objective]
     opt = ad.Adam(params.parameters() + head.parameters(), lr=cfg.lr)
     train_idx = np.asarray(split.train_idx)
 
@@ -432,7 +432,8 @@ def adapt(pretrained: PretrainResult, cfg: TrainConfig,
     if pretrained is None or not pretrained.fold_params:
         raise ConfigError("adapt: pretrained parameters are required")
     if cfg.mode not in ADAPT_MODES:
-        raise ConfigError(f"adapt: mode must be 'probe' or 'finetune', got {cfg.mode!r}")
+        raise ConfigError(f"adapt: mode must be one of {', '.join(ADAPT_MODES)}, "
+                          f"got {cfg.mode!r}")
     return _run_folds(cfg, dataset, pretrained.fold_params)
 
 
@@ -462,7 +463,7 @@ def ablate(cfg: TrainConfig, parameter: str, values: list,
     A tau sweep exercises the augmentation pipeline (pretrain + adapt);
     a num_hidden sweep honours the configured mode.
     """
-    if parameter not in ("tau", "num_hidden"):
+    if parameter not in ABLATIONS:
         raise ConfigError(f"ablate: unknown parameter {parameter!r}")
     ds = dataset if dataset is not None else load_dataset(cfg)
     results = []

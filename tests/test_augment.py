@@ -253,6 +253,34 @@ def test_usvt_under_raising_floating_point_state_keeps_its_bits():
     assert theta.tobytes() == raised.tobytes()
 
 
+# (adjacency, threshold): C5's top eigenvalue 2 sits on its threshold
+SCALED_CASES = {"C5": (cycle(5), 2.0),
+                "sbm": (generate_sbm([20, 20], 0.7, 0.1, seed=3).adjacency, 0.5 * math.sqrt(40))}
+
+
+@pytest.mark.parametrize("scale", [1e200, 2.0 ** 600, 1e160, 1e155, 1e-200, 2.0 ** -600])
+@pytest.mark.parametrize("name", sorted(SCALED_CASES))
+def test_eig_far_from_unit_scale_matches_the_unit_spectrum(name, scale):
+    # a largest entry outside dsyev's safe range is scaled by a power of two
+    # first: no overflow, underflow or failed convergence on the way
+    a, threshold = SCALED_CASES[name]
+    full, kept = symmetric_eig(a).eigenvalues, symmetric_eig(a, threshold).eigenvalues
+    with np.errstate(all="raise"):
+        scaled = a * scale
+        scaled_full = symmetric_eig(scaled).eigenvalues
+        scaled_kept = symmetric_eig(scaled, threshold * scale).eigenvalues
+    assert np.abs(scaled_full / scale - full).max() <= 1e-13 * np.abs(full).max()
+    assert len(scaled_kept) == len(kept) > 0
+    np.testing.assert_allclose(scaled_kept / scale, kept, rtol=1e-13, atol=0)
+
+
+def test_usvt_far_from_unit_scale_returns():
+    with np.errstate(all="raise"):
+        theta, rank = usvt_with_rank(cycle(5) * 1e200, 0.5)
+    assert rank == 5
+    assert np.all((theta >= 0) & (theta <= 1))
+
+
 def test_usvt_needs_no_library_eigensolver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg called")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -7,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from swagnn.cli import build_config, main
+from swagnn.cli import build_config, build_parser, main
+from swagnn.reporting import save_result
+from swagnn.training import CHOICES, RunResult, TrainConfig
 
 TINY = ["--dataset", "toy", "--hidden-graphs", "2", "--hidden-nodes", "4",
         "--hidden-dim", "8", "--walk-len", "2", "--epochs", "3",
@@ -404,6 +407,113 @@ def test_ablate_rejects_a_nan_tau_before_the_rank0_report(capsys):
     captured = capsys.readouterr()
     assert "every tau must be positive" in captured.err
     assert captured.out == ""
+
+
+# every field but mode is a flag; mode is the subcommand's
+FLAG_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "mode"]
+CHOICE_VALUES = [(name, value) for name, allowed in CHOICES.items() if name != "mode"
+                 for value in allowed]
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def other_value(field):
+    """A valid value of ``field`` other than its default."""
+    if field.name in CHOICES:
+        return next(value for value in CHOICES[field.name] if value != field.default)
+    if field.type == "int":
+        return field.default + 1
+    if field.type == "float":
+        return field.default / 2
+    return "elsewhere"
+
+
+def config_by_flags(*argv):
+    return build_config(build_parser().parse_args(["train", *argv]))
+
+
+def config_by_file(tmp_path, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return config_by_flags("--config", str(path))
+
+
+@pytest.mark.parametrize("field", FLAG_FIELDS, ids=lambda field: field.name)
+def test_every_config_field_is_a_flag(tmp_path, field):
+    value = other_value(field)
+    by_flag = config_by_flags(flag(field.name), str(value))
+    assert by_flag == config_by_file(tmp_path, {field.name: value})
+    assert getattr(by_flag, field.name) == value != field.default
+
+
+@pytest.mark.parametrize("name, value", CHOICE_VALUES)
+def test_every_choice_is_accepted_by_flag_and_by_file(tmp_path, name, value):
+    by_flag = config_by_flags(flag(name), value)
+    assert by_flag == config_by_file(tmp_path, {name: value})
+    assert getattr(by_flag, name) == value
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in CHOICE_VALUES}))
+def test_an_unknown_choice_is_refused_by_flag_and_by_file(tmp_path, capsys, name):
+    with pytest.raises(SystemExit) as err:
+        main(["train", flag(name), "bogus"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({name: "bogus"}))
+    assert run_cli("train", "--config", str(cfg_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: TrainConfig: unknown {name} 'bogus'"), err
+
+
+@pytest.fixture
+def afile(tmp_path):
+    path = tmp_path / "afile"
+    path.write_text("a file, not a directory\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", *TINY],
+    ["pretrain", *TINY],
+    ["probe", *TINY, "--pretrain-epochs", "1"],
+    ["finetune", *TINY, "--pretrain-epochs", "1"],
+    ["ablate", *TINY, "--param", "tau", "--values", "0.5"],
+    ["augment", *TINY]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_an_out_that_cannot_be_a_directory_fails_before_the_run(monkeypatch, capsys, afile,
+                                                                argv, below):
+    import swagnn.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+    for name in ("cross_validate", "pretrain_ssl", "ablate", "augment_dataset"):
+        monkeypatch.setattr(swagnn.cli, name, refuse)
+    out = os.path.join(afile, "sub") if below else afile
+    assert run_cli(*argv, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot create output directory {out}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_export_hidden_to_an_out_that_cannot_be_a_directory(capsys, tiny_checkpoint, afile,
+                                                            below):
+    out = os.path.join(afile, "sub") if below else afile
+    assert run_cli("export-hidden", "--checkpoint", tiny_checkpoint, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}: ")
+
+
+@pytest.mark.parametrize("where", ["below-file", "directory"])
+def test_report_to_a_csv_that_cannot_be_written(tmp_path, capsys, afile, where):
+    result = RunResult([1.0], 1.0, 0.0, 0.1, {}, "supervised", [[0.5]], [[1.0]], [1.0], [1.0],
+                       [0], [0.1])
+    save_result(result, str(tmp_path / "result.json"))
+    csv_path = os.path.join(afile, "folds.csv") if where == "below-file" else str(tmp_path)
+    assert run_cli("report", str(tmp_path / "result.json"), "--csv", csv_path) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {csv_path}: ")
 
 
 def test_unknown_subcommand_exits_2():
