@@ -47,14 +47,24 @@ def _check_symmetric(a: np.ndarray, where: str) -> np.ndarray:
         raise ContractError(f"{where}: input must be square")
     if not np.isfinite(a).all():
         raise ContractError(f"{where}: input is not finite")
-    if m and np.max(np.abs(a - a.T)) > _SYMMETRY_TOL:
+    with np.errstate(over="ignore"):  # an infinite difference is still asymmetric
+        asymmetry = np.max(np.abs(a - a.T)) if m else 0.0
+    if asymmetry > _SYMMETRY_TOL:
         raise ContractError(f"{where}: input is not symmetric")
     return a
 
 
 def _inf_norm(a: np.ndarray) -> float:
-    """Largest absolute row sum, a bound on every |eigenvalue|."""
-    return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
+    """Largest absolute row sum, a bound on every |eigenvalue|.  A sum
+    beyond the float range raises NumericalError."""
+    if not a.size:
+        return 0.0
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(a).sum(axis=1).max())
+    if norm == math.inf:
+        raise NumericalError(f"the largest absolute row sum of a {a.shape[0]} x {a.shape[0]} "
+                             "matrix exceeds the float range")
+    return norm
 
 
 def usvt_threshold(a: np.ndarray, threshold: float) -> float:
@@ -67,7 +77,8 @@ def usvt_threshold(a: np.ndarray, threshold: float) -> float:
 def rank0_certified(a: np.ndarray, tau: float) -> bool:
     """True when no spectral component can reach tau*sqrt(n): every
     |eigenvalue| is at most the largest absolute row sum, and that sum is
-    below the effective threshold.  Needs no decomposition."""
+    below the effective threshold.  Needs no decomposition.  A row sum
+    beyond the float range raises NumericalError."""
     a = np.asarray(a, dtype=np.float64)
     return _inf_norm(a) < usvt_threshold(a, tau * math.sqrt(a.shape[0]))
 
@@ -277,7 +288,8 @@ def symmetric_eig(a: np.ndarray, threshold: float = None) -> SpectralDecompositi
     As in dsyev, a matrix whose largest |entry| lies outside [_SCALE_MIN,
     _SCALE_MAX] is solved, together with the threshold, scaled by the power
     of two that brings that entry into [0.5, 1); the scaling is exact, and
-    the eigenvalues are scaled back.
+    the eigenvalues are scaled back.  An eigenvalue that lies beyond the
+    float range raises NumericalError.
     """
     a = _check_symmetric(a, "symmetric_eig")
     m = a.shape[0]
@@ -327,7 +339,12 @@ def symmetric_eig(a: np.ndarray, threshold: float = None) -> SpectralDecompositi
         v = refl[k, k + 1:]
         vecs[k + 1:] -= v[:, None] * (2.0 * (v @ vecs[k + 1:]))
     order = np.argsort(-np.abs(lam), kind="stable")
-    return SpectralDecomposition(np.ldexp(lam[order], -shift), vecs[:, order])
+    with np.errstate(over="ignore"):
+        lam = np.ldexp(lam[order], -shift)
+    if np.isinf(lam).any():
+        raise NumericalError(f"symmetric_eig: an eigenvalue of the {m} x {m} input exceeds "
+                             "the float range")
+    return SpectralDecomposition(lam, vecs[:, order])
 
 
 def usvt_with_rank(a: np.ndarray, tau: float):
@@ -415,7 +432,12 @@ class LgaAugmenter:
 
     The estimate is computed once per graph (the eigendecomposition
     dominates), while every (graph index, epoch) pair gets an independent
-    reproducible sampling stream.
+    reproducible sampling stream.  An estimate that is zero everywhere
+    (every rank-0 one is) can only draw the edgeless graph, so that
+    positive is built once with the anchor's features and label and
+    returned for every (index, epoch), skipping the stream.  A returned
+    positive may thus be shared between calls: treat it as read-only (the
+    shared adjacency is a read-only array).
     """
 
     def __init__(self, tau: float, seed: int = 0):
@@ -426,17 +448,24 @@ class LgaAugmenter:
         self._cache = weakref.WeakKeyDictionary()
 
     def _estimate(self, g: Graph):
+        """(theta, kept rank, the edgeless positive or None) of ``g``."""
         cached = self._cache.get(g)
         if cached is None:
-            cached = usvt_with_rank(g.adjacency, self.tau)
-            self._cache[g] = cached
+            theta, rank = usvt_with_rank(g.adjacency, self.tau)
+            empty = None
+            if not theta.any():
+                empty = Graph(g.n, np.zeros((g.n, g.n)), g.features, g.label)
+                empty.adjacency.flags.writeable = False  # shared by every epoch
+            cached = self._cache[g] = (theta, rank, empty)
         return cached
 
     def kept_rank(self, g: Graph) -> int:
         return self._estimate(g)[1]
 
     def augment(self, g: Graph, index: int, epoch: int) -> Graph:
-        theta, _ = self._estimate(g)
+        theta, _, empty = self._estimate(g)
+        if empty is not None:
+            return empty
         adjacency = sample_augmentation(theta, [self.seed, index, epoch])
         return Graph(g.n, adjacency, g.features, g.label)
 

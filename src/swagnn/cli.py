@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint", metavar="NPZ",
                        help="pretrained encoder archive; skips pretraining")
         p.add_argument("--pretrain-epochs", type=int,
-                       help="epoch budget for the internal pretraining")
+                       help="epoch budget for the internal pretraining (>= 0; 0 keeps "
+                            "the untrained encoder)")
         p.set_defaults(run=cmd_run, mode=mode)
 
     p = sub.add_parser("ablate", parents=[common],

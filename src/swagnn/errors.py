@@ -22,7 +22,8 @@ class ConfigError(SwagError):
 
 
 class NumericalError(SwagError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed to converge, or its input's scale lies
+    beyond the float range."""
 
 
 class TapeError(SwagError):

@@ -129,21 +129,33 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return g.adjacency * np.outer(inv_sqrt, inv_sqrt)
 
 
-_DIFFUSION_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_GRAPH_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def cached(g: Graph, key, compute):
+    """``compute()`` once per (graph, key): later calls return the stored
+    value, shared between callers and read-only.  Entries are values that
+    depend on the graph alone (its adjacency and features, which must not
+    change afterwards) and die with the graph."""
+    per_graph = _GRAPH_CACHE.get(g)
+    if per_graph is None:
+        per_graph = _GRAPH_CACHE[g] = {}
+    value = per_graph.get(key)
+    if value is None:
+        value = per_graph[key] = compute()
+    return value
 
 
 def diffuse(g: Graph, cfg: DiffusionConfig) -> np.ndarray:
     """Truncated diffusion sum over transition-matrix powers.
 
-    The result is cached per (graph, config) and shared between callers;
-    treat it as read-only.
+    The result is ``cached`` per (graph, config) and shared between
+    callers; treat it as read-only.
     """
-    per_graph = _DIFFUSION_CACHE.get(g)
-    if per_graph is not None:
-        cached = per_graph.get(cfg)
-        if cached is not None:
-            return cached
+    return cached(g, cfg, lambda: _diffusion_sum(g, cfg))
 
+
+def _diffusion_sum(g: Graph, cfg: DiffusionConfig) -> np.ndarray:
     t = transition_matrix(g)
     coeffs = cfg.coefficients()
     power = np.eye(g.n)
@@ -151,11 +163,6 @@ def diffuse(g: Graph, cfg: DiffusionConfig) -> np.ndarray:
     for j in range(1, cfg.depth + 1):
         power = power @ t
         out += coeffs[j] * power
-
-    if per_graph is None:
-        per_graph = {}
-        _DIFFUSION_CACHE[g] = per_graph
-    per_graph[cfg] = out
     return out
 
 

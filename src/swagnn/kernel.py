@@ -21,7 +21,10 @@ kernel factors as <X~^T B^p X~, W~ F^T B'^p F W~^T>.  The forward does not
 use this (its rounding is pinned to the node-level products), but the
 backward does: it differentiates through each graph's (d+1) x (d+1) walk
 statistics, so ``encode_batch`` keeps nothing sized by the node count
-between the forward and the backward.
+between the forward and the backward.  Like the diffusion, the walk
+statistics depend on the graph alone and are computed once per graph and
+cached with it, so a graph seen in many batches, epochs or folds pays for
+them once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .graphs import DiffusionConfig, Graph, diffuse
+from .graphs import DiffusionConfig, Graph, cached, diffuse
 
 
 @dataclass(frozen=True)
@@ -272,20 +275,23 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.
 
 def _walk_statistics(graphs: list, cfg: KernelConfig) -> np.ndarray:
     """len(graphs) x P x (d+1) x (d+1): K[g, q] = X~^T B^(q+1) X~ with
-    X~ = [X 1], each graph's side of the factored kernel."""
-    P, d1 = cfg.max_walk, graphs[0].feature_dim + 1
-    stats = np.empty((len(graphs), P, d1, d1))
-    rows = max(g.n for g in graphs)
-    xt_buf, walks_buf = np.ones((rows, d1)), np.empty((P, rows, d1))
-    for gi, g in enumerate(graphs):
-        b = diffuse(g, cfg.diffusion)
-        xt, walks = xt_buf[:g.n], walks_buf[:, :g.n]
-        xt[:, :-1] = g.features
-        walk = xt
-        for q in range(P):
-            walk = np.matmul(b, walk, out=walks[q])
-        np.matmul(xt.T, walks, out=stats[gi])
-    return stats
+    X~ = [X 1], each graph's side of the factored kernel.  It depends on
+    the graph alone, so it is ``cached`` per (graph, diffusion config, P)."""
+    key = ("walks", cfg.diffusion, cfg.max_walk)
+    return np.stack([cached(g, key, lambda: _graph_walks(g, cfg)) for g in graphs])
+
+
+def _graph_walks(g: Graph, cfg: KernelConfig) -> np.ndarray:
+    """One graph's P x (d+1) x (d+1) walk statistics, in arrays of its own
+    size."""
+    b = diffuse(g, cfg.diffusion)
+    xt = np.ones((g.n, g.feature_dim + 1))
+    xt[:, :-1] = g.features
+    walks = np.empty((cfg.max_walk,) + xt.shape)
+    walk = xt
+    for q in range(cfg.max_walk):
+        walk = np.matmul(b, walk, out=walks[q])
+    return np.matmul(xt.T, walks)
 
 
 def _encoder_backward(grad: np.ndarray, parents: list, graphs: list, cfg: KernelConfig):
@@ -342,8 +348,9 @@ def encode_batch(graphs: list, params: SwagParams, cfg: KernelConfig) -> Tensor:
     A single autodiff node over ``params.parameters()`` with a hand-written
     vector-Jacobian product; the values are those of ``encode_numpy``.
     The node keeps only the list of graphs, nothing sized by their node
-    count: the backward pass recomputes each graph's walk statistics
-    X~^T B^p X~ and differentiates the kernel through them.
+    count: the backward pass differentiates the kernel through each graph's
+    walk statistics X~^T B^p X~, computed on the graph's first backward and
+    cached with it after that.
     """
     parents = params.parameters()
     out = _encoder_forward(graphs, params, cfg)

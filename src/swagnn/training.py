@@ -403,6 +403,13 @@ def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig,
     return params, head, curve
 
 
+def _check_pretrain_epochs(epochs):
+    """A pretraining budget must be None (``cfg.epochs``) or >= 0; 0 keeps
+    the untrained encoder, the control for what pretraining buys."""
+    if epochs is not None and epochs < 0:
+        raise ConfigError(f"pretrain_epochs must be >= 0, got {epochs}")
+
+
 def pretrain_ssl(cfg: TrainConfig, dataset: Dataset = None,
                  epochs: int = None) -> PretrainResult:
     """Label-free encoder pretraining, one encoder per fold.
@@ -410,6 +417,7 @@ def pretrain_ssl(cfg: TrainConfig, dataset: Dataset = None,
     Each fold's encoder sees only that fold's train split, so downstream
     adaptation never leaks test graphs into pretraining.
     """
+    _check_pretrain_epochs(epochs)
     ds = dataset if dataset is not None else load_dataset(cfg)
     kcfg = cfg.kernel_config()
     folds = stratified_folds(ds, cfg.folds, cfg.seed)
@@ -443,6 +451,7 @@ def cross_validate(cfg: TrainConfig, dataset: Dataset = None,
     pretrain each fold's encoder, supervised trains from scratch.  The
     dataset is loaded at most once, and the folds are checked before any
     pretraining."""
+    _check_pretrain_epochs(pretrain_epochs)
     ds = dataset if dataset is not None else load_dataset(cfg)
     if cfg.mode in ADAPT_MODES:
         _validated_folds(ds, cfg)
@@ -465,6 +474,7 @@ def ablate(cfg: TrainConfig, parameter: str, values: list,
     """
     if parameter not in ABLATIONS:
         raise ConfigError(f"ablate: unknown parameter {parameter!r}")
+    _check_pretrain_epochs(pretrain_epochs)
     ds = dataset if dataset is not None else load_dataset(cfg)
     results = []
     for value in values:

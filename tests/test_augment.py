@@ -1,5 +1,7 @@
+import gc
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from swagnn.augment import (
     usvt_estimate,
     usvt_with_rank,
 )
-from swagnn.errors import ConfigError, ContractError
+from swagnn.errors import ConfigError, ContractError, NumericalError
 from swagnn.graphs import Graph, degree_features
 from swagnn.training import TrainConfig
 
@@ -279,6 +281,26 @@ def test_usvt_far_from_unit_scale_returns():
         theta, rank = usvt_with_rank(cycle(5) * 1e200, 0.5)
     assert rank == 5
     assert np.all((theta >= 0) & (theta <= 1))
+
+
+def test_scale_beyond_the_float_range_is_a_numerical_error():
+    # C5's eigenvalues reach 2e308 and its row sums too: neither fits a float
+    a = cycle(5) * 1e308
+    calls = {"symmetric_eig": lambda: symmetric_eig(a),
+             "symmetric_eig with a threshold": lambda: symmetric_eig(a, 1e308),
+             "usvt_with_rank": lambda: usvt_with_rank(a, 2.02),
+             "rank0_certified": lambda: rank0_certified(a, 2.02)}
+    for call in calls.values():
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match="float range"):
+            call()
+    # eigenvalues of 1.41e308 still fit, though the row sums do not
+    big = np.array([[1e308, 1e308], [1e308, -1e308]])
+    with np.errstate(all="raise"):
+        values = symmetric_eig(big).eigenvalues
+    np.testing.assert_allclose(values, [-math.sqrt(2) * 1e308, math.sqrt(2) * 1e308],
+                               rtol=1e-15)
+    with pytest.raises(ContractError, match="not symmetric"):
+        symmetric_eig(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
 def test_usvt_needs_no_library_eigensolver(monkeypatch):
@@ -590,6 +612,36 @@ def test_lga_augmenter_caches_estimate_and_streams():
     assert first.features is g.features
     assert first.label == g.label
     assert aug.kept_rank(g) >= 1
+
+
+def test_lga_rank0_positive_is_built_once_and_shared():
+    g = Graph(7, cycle(7), np.arange(14.0).reshape(7, 2), label=1)
+    aug = LgaAugmenter(tau=2.02, seed=3)
+    positive = aug.augment(g, index=4, epoch=0)
+    assert aug.kept_rank(g) == 0 and rank0_certified(g.adjacency, 2.02)
+    assert positive is not g
+    assert positive.n == g.n and positive.num_edges() == 0
+    # the draw the stream would have made from theta = 0, bit for bit
+    theta = usvt_estimate(g.adjacency, 2.02)
+    for index, epoch in ((4, 0), (0, 5), (9, 2)):
+        assert aug.augment(g, index, epoch) is positive
+        assert sample_augmentation(theta, [3, index, epoch]).tobytes() == \
+            positive.adjacency.tobytes()
+    assert positive.features is g.features and positive.label == g.label
+    with pytest.raises(ValueError):
+        positive.adjacency[0, 1] = 1.0
+    # a positive drawn from a nonzero estimate is a fresh graph per call
+    sbm = generate_sbm([20, 20], 0.8, 0.2, seed=0)
+    assert aug.augment(sbm, 0, 0) is not aug.augment(sbm, 0, 0)
+
+
+def test_lga_rank0_positive_dies_with_its_anchor():
+    aug = LgaAugmenter(tau=2.02)
+    g = Graph(5, cycle(5), np.ones((5, 1)))
+    positive = weakref.ref(aug.augment(g, 0, 0))
+    del g
+    gc.collect()
+    assert positive() is None and len(aug._cache) == 0
 
 
 def test_lga_augmenter_index_separates_streams():

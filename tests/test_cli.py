@@ -277,6 +277,16 @@ def test_ablate_bad_values(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["probe", "finetune", "ablate"])
+def test_negative_pretrain_epochs_is_a_diagnostic(tmp_path, capsys, command):
+    sweep = ["--param", "tau", "--values", "0.5"] if command == "ablate" else []
+    out = tmp_path / "run"
+    assert run_cli(command, *TINY, *sweep, "--pretrain-epochs", "-3", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-3" in err
+    assert not any(out.iterdir())
+
+
 def test_augment_identity(tmp_path):
     out = str(tmp_path / "aug")
     assert run_cli("augment", *TINY, "--augmenter", "identity",

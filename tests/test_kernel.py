@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,12 +10,14 @@ import pytest
 from swagnn import autodiff as ad
 from swagnn.autodiff import _accumulate, _as_tensor, _node
 from swagnn.errors import ConfigError, ContractError
+from swagnn import graphs as graphs_module
 from swagnn.graphs import DiffusionConfig, Graph, diffuse
 from swagnn.kernel import (
     HiddenGraph,
     KernelConfig,
     SwagParams,
     encode_batch,
+    _walk_statistics,
     encode_numpy,
     exact_rw_kernel,
     hidden_adjacency,
@@ -517,6 +522,51 @@ def test_encode_batch_vjp_matches_the_tape(seed, fields, d):
         ad.backward((encode(graphs, params, cfg) * w).sum())
         grads.append(leaf_grads(params))
     assert_grads_close(*grads)
+
+
+def fresh_walks(g, cfg):
+    """X~^T B^p X~ for p = 1..P from a copy of ``g`` (no cache entries), in
+    arrays of the graph's own size."""
+    g = g.copy()
+    xt = np.hstack([g.features, np.ones((g.n, 1))])
+    b = diffuse(g, cfg.diffusion)
+    walks, walk = [], xt
+    for _ in range(cfg.max_walk):
+        walk = b @ walk
+        walks.append(walk)
+    return xt.T @ np.stack(walks)
+
+
+@pytest.mark.parametrize("seed, fields, d", ENCODER_CASES)
+def test_cached_walk_statistics_are_bitwise_the_per_graph_values(seed, fields, d):
+    _, base, _, graphs = encoder_case(seed, fields, d)
+    graphs = [g.copy() for g in graphs]  # no entries from other tests
+    # batches whose largest graph differs: the SBM graph first, last or absent
+    batches = [graphs, graphs[::-1], graphs[:-1], graphs[2:7], [graphs[-1], graphs[0]]]
+    for diffusion in (DiffusionConfig(), DiffusionConfig(alpha=0.4, depth=1)):
+        for walk in (1, 2, 3):
+            cfg = dataclasses.replace(base, max_walk=walk, diffusion=diffusion)
+            want = {id(g): fresh_walks(g, cfg) for g in graphs}
+            for batch in batches + batches:  # the second pass reads the cache
+                got = _walk_statistics(batch, cfg)
+                for g, stats in zip(batch, got):
+                    np.testing.assert_array_equal(stats, want[id(g)])
+
+
+def test_graph_cache_entries_die_with_their_graph():
+    rng = np.random.default_rng(7)
+    cfg = KernelConfig(num_hidden=2, hidden_nodes=3, hidden_dim=2, max_walk=2)
+    g = random_graph(rng, 6)
+    gc.collect()  # only this test's graph may leave the cache below
+    before = len(graphs_module._GRAPH_CACHE)
+    diffusion = weakref.ref(diffuse(g, cfg.diffusion))
+    _walk_statistics([g], cfg)
+    walks = weakref.ref(graphs_module._GRAPH_CACHE[g][("walks", cfg.diffusion, 2)])
+    assert len(graphs_module._GRAPH_CACHE) == before + 1
+    del g
+    gc.collect()
+    assert diffusion() is None and walks() is None
+    assert len(graphs_module._GRAPH_CACHE) == before
 
 
 def test_encode_batch_is_one_tape_node():

@@ -5,6 +5,7 @@ import pytest
 
 import swagnn.training
 from swagnn import autodiff as ad
+from swagnn import graphs as graphs_module
 from swagnn.augment import IdentityAugmenter, LgaAugmenter
 from swagnn.errors import ConfigError, TrainingError
 from swagnn.graphs import Dataset, FoldSplit, Graph, degree_features
@@ -24,6 +25,7 @@ from swagnn.training import (
     softmax_cross_entropy,
     train_supervised,
 )
+from test_kernel import molecule_like
 
 SMALL = dict(hidden_graphs=3, hidden_nodes=3, hidden_dim=3, walk_len=2,
              diff_steps=2, batch_size=8, folds=2)
@@ -326,6 +328,59 @@ def test_adapt_validation():
                                 pre.loss_curves[:1], pre.config)
     with pytest.raises(ConfigError):
         adapt(mismatched, cfg, ds)
+
+
+def test_negative_pretrain_epochs_is_a_config_error():
+    ds = make_toy_dataset()
+    cfg = small_cfg(epochs=1, mode="probe")
+    supervised = dataclasses.replace(cfg, mode="supervised")  # would not pretrain at all
+    calls = {"pretrain_ssl": lambda: pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"),
+                                                  ds, epochs=-3),
+             "cross_validate": lambda: cross_validate(cfg, ds, pretrain_epochs=-3),
+             "supervised cross_validate": lambda: cross_validate(supervised, ds,
+                                                                 pretrain_epochs=-3),
+             "ablate": lambda: ablate(cfg, "tau", [0.5], ds, pretrain_epochs=-3),
+             "supervised ablate": lambda: ablate(supervised, "num_hidden", [2], ds,
+                                                 pretrain_epochs=-3)}
+    for call in calls.values():
+        with pytest.raises(ConfigError, match="-3"):
+            call()
+    # 0 keeps the untrained encoder: the control for what pretraining buys
+    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=0)
+    assert pre.loss_curves == [[], []]
+    assert cross_validate(cfg, ds, pretrain_epochs=0).mode == "probe"
+
+
+def molecule_dataset(seed, count=24):
+    rng = np.random.default_rng(seed)
+    graphs = [molecule_like(rng, int(n)) for n in rng.integers(10, 21, count)]
+    for i, g in enumerate(graphs):
+        g.label = i % 2
+    return Dataset(graphs, 2, 7, "molecules")
+
+
+def run_bytes(pre, result):
+    """Every array a pretrain-then-adapt run produces, as bytes."""
+    models = list(zip(pre.fold_params, pre.fold_heads)) + list(result.fold_states)
+    return [p.data.tobytes() for pair in models for model in pair for p in model.parameters()]
+
+
+# LGA at tau = 2.02 shares every positive, at 0.5 draws every one, at 0.65 both
+@pytest.mark.parametrize("augmenter, tau", [("edge-drop", 2.02), ("lga", 2.02), ("lga", 0.5),
+                                            ("lga", 0.65)])
+def test_warm_graph_caches_give_the_bits_of_cold_ones(augmenter, tau):
+    ds = molecule_dataset(5)
+    ranks = {LgaAugmenter(tau).kept_rank(g) for g in ds.graphs}
+    assert ranks == {2.02: {0}, 0.5: {2, 3, 4}, 0.65: {0, 1, 2}}[tau]
+    cfg = small_cfg(mode="finetune", augmenter=augmenter, tau=tau, epochs=2, folds=3)
+    runs = []
+    for _ in range(2):  # the second run finds every anchor's diffusion and walks cached
+        pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=2)
+        result = adapt(pre, cfg, ds)
+        runs.append((pre.loss_curves, result.loss_curves, result.val_curves,
+                     result.fold_accuracies, run_bytes(pre, result)))
+        assert all(g in graphs_module._GRAPH_CACHE for g in ds.graphs)
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
