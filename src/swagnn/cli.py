@@ -23,7 +23,8 @@ from .reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
                         fold_csv, load_checkpoint, load_result, save_checkpoint,
                         save_result, summarize)
 from .training import (ABLATIONS, ADAPT_MODES, CHOICES, FIELD_TYPES, PretrainResult,
-                       TrainConfig, ablate, adapt, cross_validate, load_dataset, pretrain_ssl)
+                       TrainConfig, adapt, cross_validate, load_dataset, pretrain_ssl,
+                       sweep_configs)
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
 
@@ -89,29 +90,18 @@ def _save_run(result, cfg: TrainConfig):
     print(f"wrote {cfg.out}/result.json, folds.csv, checkpoint.npz")
 
 
-def _report_rank0(dataset, cfg: TrainConfig, tau: float):
-    """Print how many graphs the row-sum certificate puts at LGA rank 0
-    (their positives are empty graphs); warn when that is all of them.
-    Folds that cannot split the dataset stop the run before the report."""
+def _report_rank0(dataset, cfg: TrainConfig):
+    """Print how many graphs the row-sum certificate puts at LGA rank 0 at
+    ``cfg.tau`` (their positives are empty graphs); warn when that is all
+    of them.  Folds that cannot split the dataset stop the run first."""
     stratified_folds(dataset, cfg.folds, cfg.seed)
-    certified = sum(rank0_certified(g.adjacency, tau) for g in dataset.graphs)
+    certified = sum(rank0_certified(g.adjacency, cfg.tau) for g in dataset.graphs)
     total = len(dataset.graphs)
-    print(f"lga tau={tau:g}: {certified} of {total} graphs "
+    print(f"lga tau={cfg.tau:g}: {certified} of {total} graphs "
           f"({certified / max(total, 1):.0%}) certified rank 0")
     if total and certified == total:
-        print(f"warning: at tau={tau:g} every LGA positive is the empty graph; "
+        print(f"warning: at tau={cfg.tau:g} every LGA positive is the empty graph; "
               f"a smaller tau keeps spectral components", file=sys.stderr)
-
-
-def _parse_values(parameter: str, text: str) -> list:
-    cast = ABLATIONS[parameter]
-    try:
-        values = [cast(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--values: cannot parse {text!r} as {cast.__name__}s") from exc
-    if parameter == "tau" and not all(value > 0 for value in values):
-        raise ConfigError(f"--values: every tau must be positive, got {text!r}")
-    return values
 
 
 def cmd_pretrain(args) -> int:
@@ -119,7 +109,7 @@ def cmd_pretrain(args) -> int:
     _make_out(cfg.out)
     dataset = load_dataset(cfg)
     if cfg.augmenter == "lga":
-        _report_rank0(dataset, cfg, cfg.tau)
+        _report_rank0(dataset, cfg)
     pre = pretrain_ssl(cfg, dataset)
     for fold, curve in enumerate(pre.loss_curves):
         print(f"fold {fold}: final loss {curve[-1]:.6f}")
@@ -142,7 +132,7 @@ def cmd_run(args) -> int:
         fold_params, fold_heads, config = load_checkpoint(args.checkpoint, expect=cfg)
         result = adapt(PretrainResult(fold_params, fold_heads, [], config), cfg)
     else:
-        result = cross_validate(cfg, pretrain_epochs=args.pretrain_epochs)
+        result = cross_validate(cfg)
     print(summarize(result))
     _save_run(result, cfg)
     return 0
@@ -150,14 +140,16 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = build_config(args)
-    values = _parse_values(args.param, args.values)
+    # every run's config is built, so checked, before any work
+    runs = sweep_configs(cfg, args.param, [part for part in args.values.split(",")
+                                           if part.strip()])
     _make_out(cfg.out)
     dataset = load_dataset(cfg)
     if args.param == "tau":
-        for tau in values:
-            _report_rank0(dataset, cfg, tau)
-    results = ablate(cfg, args.param, values, dataset,
-                     pretrain_epochs=args.pretrain_epochs)
+        for run_cfg in runs:
+            _report_rank0(dataset, run_cfg)
+    results = [cross_validate(run_cfg, dataset) for run_cfg in runs]
+    values = [getattr(run_cfg, ABLATIONS[args.param]) for run_cfg in runs]
     for value, result in zip(values, results):
         print(f"{args.param}={value}: accuracy {result.mean_accuracy:.4f} "
               f"+/- {result.std_accuracy:.4f}")
@@ -212,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     # take it from the config file
     p = sub.add_parser("train", parents=[common],
                        help="supervised cross-validated training")
-    p.set_defaults(run=cmd_run, mode="supervised", checkpoint=None, pretrain_epochs=None)
+    p.set_defaults(run=cmd_run, mode="supervised", checkpoint=None)
 
     p = sub.add_parser("pretrain", parents=[common],
                        help="self-supervised pretraining, one encoder per fold")
@@ -223,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"pretrain (or load --checkpoint) then {mode}")
         p.add_argument("--checkpoint", metavar="NPZ",
                        help="pretrained encoder archive; skips pretraining")
-        p.add_argument("--pretrain-epochs", type=int,
-                       help="epoch budget for the internal pretraining (>= 0; 0 keeps "
-                            "the untrained encoder)")
         p.set_defaults(run=cmd_run, mode=mode)
 
     p = sub.add_parser("ablate", parents=[common],
@@ -233,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, choices=tuple(ABLATIONS))
     p.add_argument("--values", required=True,
                    help="comma-separated sweep values, e.g. 0.3,2.02,4.2")
-    p.add_argument("--pretrain-epochs", type=int)
     p.set_defaults(run=cmd_ablate)
 
     p = sub.add_parser("augment", parents=[common],

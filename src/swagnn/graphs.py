@@ -134,23 +134,24 @@ _GRAPH_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def cached(g: Graph, key, compute):
     """``compute()`` once per (graph, key): later calls return the stored
-    value, shared between callers and read-only.  Entries are values that
-    depend on the graph alone (its adjacency and features, which must not
-    change afterwards) and die with the graph."""
+    array, shared between callers and read-only (a write raises ValueError).
+    Entries are values that depend on the graph alone (its adjacency and
+    features, which must not change afterwards) and die with the graph."""
     per_graph = _GRAPH_CACHE.get(g)
     if per_graph is None:
         per_graph = _GRAPH_CACHE[g] = {}
     value = per_graph.get(key)
     if value is None:
         value = per_graph[key] = compute()
+        value.flags.writeable = False
     return value
 
 
 def diffuse(g: Graph, cfg: DiffusionConfig) -> np.ndarray:
     """Truncated diffusion sum over transition-matrix powers.
 
-    The result is ``cached`` per (graph, config) and shared between
-    callers; treat it as read-only.
+    The result is ``cached`` per (graph, config), shared between callers
+    and read-only.
     """
     return cached(g, cfg, lambda: _diffusion_sum(g, cfg))
 

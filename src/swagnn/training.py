@@ -52,8 +52,8 @@ ADAPT_MODES = ("probe", "finetune")
 MODES = ("supervised", "pretrain") + ADAPT_MODES
 # the TrainConfig fields that take one of a fixed set of values
 CHOICES = {"mode": MODES, "augmenter": tuple(AUGMENTERS), "objective": tuple(OBJECTIVES)}
-# ablation parameter -> the type of its swept values
-ABLATIONS = {"tau": float, "num_hidden": int}
+# ablation parameter -> the TrainConfig field it sweeps
+ABLATIONS = {"tau": "tau", "num_hidden": "hidden_graphs"}
 # the TrainConfig fields that kernel_config() turns into the encoder: a
 # saved encoder only fits a config that agrees on every one of them
 ENCODER_FIELDS = ("hidden_graphs", "hidden_nodes", "hidden_dim", "walk_len",
@@ -62,7 +62,7 @@ ENCODER_FIELDS = ("hidden_graphs", "hidden_nodes", "hidden_dim", "walk_len",
 # each TrainConfig annotation, as text: the JSON values it accepts (bool is
 # rejected although Python counts it as an int) and its command-line flag's type
 FIELD_TYPES = {"int": (int, int), "float": ((int, float), float), "str": (str, str),
-               "str | None": ((str, type(None)), str)}
+               "int | None": ((int, type(None)), int), "str | None": ((str, type(None)), str)}
 
 
 @dataclass
@@ -87,6 +87,9 @@ class TrainConfig:
     augmenter: str = "lga"
     objective: str = "infonce"
     epochs: int = 200
+    # the pretraining budget of pretrain, probe and finetune: None means
+    # ``epochs``; 0 keeps the untrained encoder, the control for what it buys
+    pretrain_epochs: int | None = None
     lr: float = 0.01
     batch_size: int = 64
     folds: int = 10
@@ -100,6 +103,9 @@ class TrainConfig:
                                   f"(expected one of {', '.join(allowed)})")
         if self.epochs < 1:
             raise ConfigError(f"TrainConfig: epochs must be >= 1, got {self.epochs}")
+        if self.pretrain_epochs is not None and self.pretrain_epochs < 0:
+            raise ConfigError(f"TrainConfig: pretrain_epochs must be >= 0, "
+                              f"got {self.pretrain_epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
         if not (self.lr > 0 and math.isfinite(self.lr)):
@@ -379,7 +385,6 @@ class PretrainResult:
     fold_heads: list
     loss_curves: list
     config: dict
-    folds: list = field(default_factory=list)
 
 
 def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig,
@@ -403,34 +408,25 @@ def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig,
     return params, head, curve
 
 
-def _check_pretrain_epochs(epochs):
-    """A pretraining budget must be None (``cfg.epochs``) or >= 0; 0 keeps
-    the untrained encoder, the control for what pretraining buys."""
-    if epochs is not None and epochs < 0:
-        raise ConfigError(f"pretrain_epochs must be >= 0, got {epochs}")
-
-
 def pretrain_ssl(cfg: TrainConfig, dataset: Dataset = None,
                  epochs: int = None) -> PretrainResult:
-    """Label-free encoder pretraining, one encoder per fold.
+    """Label-free encoder pretraining, one encoder per fold, for
+    ``cfg.pretrain_epochs`` epochs (``epochs``, if given, sets that field).
 
     Each fold's encoder sees only that fold's train split, so downstream
     adaptation never leaks test graphs into pretraining.
     """
-    _check_pretrain_epochs(epochs)
+    if epochs is not None:
+        cfg = dataclasses.replace(cfg, pretrain_epochs=epochs)
     ds = dataset if dataset is not None else load_dataset(cfg)
     kcfg = cfg.kernel_config()
     folds = stratified_folds(ds, cfg.folds, cfg.seed)
     augmenter = cfg.make_augmenter()
-    epochs = cfg.epochs if epochs is None else epochs
-    fold_params, fold_heads, curves = [], [], []
-    for fold, split in enumerate(folds):
-        params, head, curve = _pretrain_fold(ds, split, cfg, kcfg, fold,
-                                             augmenter, epochs)
-        fold_params.append(params)
-        fold_heads.append(head)
-        curves.append(curve)
-    return PretrainResult(fold_params, fold_heads, curves, cfg.to_dict(), folds)
+    epochs = cfg.epochs if cfg.pretrain_epochs is None else cfg.pretrain_epochs
+    runs = [_pretrain_fold(ds, split, cfg, kcfg, fold, augmenter, epochs)
+            for fold, split in enumerate(folds)]
+    fold_params, fold_heads, curves = (list(column) for column in zip(*runs))
+    return PretrainResult(fold_params, fold_heads, curves, cfg.to_dict())
 
 
 def adapt(pretrained: PretrainResult, cfg: TrainConfig,
@@ -450,13 +446,13 @@ def cross_validate(cfg: TrainConfig, dataset: Dataset = None,
     """One cross-validated run of ``cfg.mode``: probe and finetune first
     pretrain each fold's encoder, supervised trains from scratch.  The
     dataset is loaded at most once, and the folds are checked before any
-    pretraining."""
-    _check_pretrain_epochs(pretrain_epochs)
+    pretraining.  ``pretrain_epochs``, if given, sets that field."""
+    if pretrain_epochs is not None:
+        cfg = dataclasses.replace(cfg, pretrain_epochs=pretrain_epochs)
     ds = dataset if dataset is not None else load_dataset(cfg)
     if cfg.mode in ADAPT_MODES:
         _validated_folds(ds, cfg)
-        pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds,
-                           epochs=pretrain_epochs)
+        pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds)
         return adapt(pre, cfg, ds)
     return train_supervised(cfg, ds)
 
@@ -465,28 +461,42 @@ def cross_validate(cfg: TrainConfig, dataset: Dataset = None,
 # ablation sweeps
 # ---------------------------------------------------------------------------
 
-def ablate(cfg: TrainConfig, parameter: str, values: list,
-           dataset: Dataset = None, pretrain_epochs: int = None) -> list:
-    """One full run per value with shared folds and seeds.
+def sweep_configs(cfg: TrainConfig, parameter: str, values: list) -> list:
+    """One run config per swept value, each cast to the type of the field
+    it sets, and every one built (so checked by ``TrainConfig``) before
+    any run starts.
 
-    A tau sweep exercises the augmentation pipeline (pretrain + adapt);
-    a num_hidden sweep honours the configured mode.
+    A tau sweep exercises the augmentation pipeline (LGA pretrain +
+    adapt); a num_hidden sweep honours the configured mode.
     """
     if parameter not in ABLATIONS:
         raise ConfigError(f"ablate: unknown parameter {parameter!r}")
-    _check_pretrain_epochs(pretrain_epochs)
-    ds = dataset if dataset is not None else load_dataset(cfg)
-    results = []
+    name = ABLATIONS[parameter]
+    cast = FIELD_TYPES[next(f.type for f in dataclasses.fields(cfg) if f.name == name)][1]
+    fixed = {"augmenter": "lga"} if parameter == "tau" else {}
+    mode = (cfg.mode if cfg.mode in ADAPT_MODES else
+            "finetune" if parameter == "tau" else "supervised")
+    runs = []
     for value in values:
-        if parameter == "tau":
-            if not (TAU_GUIDANCE[0] <= value <= TAU_GUIDANCE[1]):
-                warnings.warn(f"tau={value} outside the guidance range "
-                              f"[{TAU_GUIDANCE[0]}, {TAU_GUIDANCE[1]}]")
-            mode = cfg.mode if cfg.mode in ADAPT_MODES else "finetune"
-            run_cfg = dataclasses.replace(cfg, tau=float(value), augmenter="lga",
-                                          mode=mode)
-        else:
-            mode = cfg.mode if cfg.mode in ADAPT_MODES else "supervised"
-            run_cfg = dataclasses.replace(cfg, hidden_graphs=int(value), mode=mode)
-        results.append(cross_validate(run_cfg, ds, pretrain_epochs))
-    return results
+        try:
+            value = cast(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"ablate: cannot read {value!r} as a {parameter} value "
+                              f"({cast.__name__})") from exc
+        runs.append(dataclasses.replace(cfg, mode=mode, **fixed, **{name: value}))
+    for run in runs:
+        if parameter == "tau" and not (TAU_GUIDANCE[0] <= run.tau <= TAU_GUIDANCE[1]):
+            warnings.warn(f"tau={run.tau} outside the guidance range {list(TAU_GUIDANCE)}")
+    return runs
+
+
+def ablate(cfg: TrainConfig, parameter: str, values: list,
+           dataset: Dataset = None, pretrain_epochs: int = None) -> list:
+    """One full run per value of ``sweep_configs``, with shared folds and
+    seeds; a bad value fails before the dataset loads or any run starts.
+    ``pretrain_epochs``, if given, sets that field."""
+    if pretrain_epochs is not None:
+        cfg = dataclasses.replace(cfg, pretrain_epochs=pretrain_epochs)
+    runs = sweep_configs(cfg, parameter, values)
+    ds = dataset if dataset is not None else load_dataset(cfg)
+    return [cross_validate(run, ds) for run in runs]

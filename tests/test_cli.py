@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -160,6 +162,20 @@ def test_pretrain_writes_checkpoint(tmp_path, capsys):
     assert len(curves) == 2 and len(curves[0]) == 2
 
 
+def test_pretrain_honours_pretrain_epochs(tmp_path):
+    out = str(tmp_path / "pre")
+    assert run_cli("pretrain", *TINY, "--epochs", "3", "--pretrain-epochs", "1",
+                   "--augmenter", "identity", "--out", out) == 0
+    assert [len(curve) for curve in read_json(os.path.join(out, "loss_curves.json"))] == [1, 1]
+
+
+@pytest.mark.parametrize("flags, recorded", [([], None), (["--pretrain-epochs", "2"], 2)])
+def test_result_records_pretrain_epochs(tmp_path, flags, recorded):
+    out = str(tmp_path / "probe")
+    assert run_cli("probe", *TINY, "--augmenter", "identity", *flags, "--out", out) == 0
+    assert read_json(os.path.join(out, "result.json"))["config"]["pretrain_epochs"] == recorded
+
+
 def test_probe_from_checkpoint(tmp_path):
     pre_out = str(tmp_path / "pre")
     run_cli("pretrain", *TINY, "--epochs", "1", "--augmenter", "identity",
@@ -277,6 +293,18 @@ def test_ablate_bad_values(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param, values", [("num_hidden", "2,0"), ("num_hidden", "2,x"),
+                                           ("tau", "0.5,-1")])
+def test_ablate_checks_every_value_before_any_work(tmp_path, capsys, param, values):
+    out = tmp_path / "ab"
+    assert run_cli("ablate", *TINY, "--param", param, "--values", values,
+                   "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["probe", "finetune", "ablate"])
 def test_negative_pretrain_epochs_is_a_diagnostic(tmp_path, capsys, command):
     sweep = ["--param", "tau", "--values", "0.5"] if command == "ablate" else []
@@ -284,7 +312,7 @@ def test_negative_pretrain_epochs_is_a_diagnostic(tmp_path, capsys, command):
     assert run_cli(command, *TINY, *sweep, "--pretrain-epochs", "-3", "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "-3" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_augment_identity(tmp_path):
@@ -415,7 +443,7 @@ def test_augment_rejects_a_tau_that_is_nan_or_not_positive(tmp_path, capsys, tau
 def test_ablate_rejects_a_nan_tau_before_the_rank0_report(capsys):
     assert run_cli("ablate", *TINY, "--param", "tau", "--values", "0.5,nan") == 1
     captured = capsys.readouterr()
-    assert "every tau must be positive" in captured.err
+    assert "tau must be positive" in captured.err
     assert captured.out == ""
 
 
@@ -435,6 +463,8 @@ def other_value(field):
         return next(value for value in CHOICES[field.name] if value != field.default)
     if field.type == "int":
         return field.default + 1
+    if field.type == "int | None":
+        return 1
     if field.type == "float":
         return field.default / 2
     return "elsewhere"
@@ -499,7 +529,7 @@ def test_an_out_that_cannot_be_a_directory_fails_before_the_run(monkeypatch, cap
 
     def refuse(*args, **kwargs):
         raise AssertionError("the run started")
-    for name in ("cross_validate", "pretrain_ssl", "ablate", "augment_dataset"):
+    for name in ("cross_validate", "pretrain_ssl", "augment_dataset"):
         monkeypatch.setattr(swagnn.cli, name, refuse)
     out = os.path.join(afile, "sub") if below else afile
     assert run_cli(*argv, "--out", out) == 1
@@ -524,6 +554,32 @@ def test_report_to_a_csv_that_cannot_be_written(tmp_path, capsys, afile, where):
     csv_path = os.path.join(afile, "folds.csv") if where == "below-file" else str(tmp_path)
     assert run_cli("report", str(tmp_path / "result.json"), "--csv", csv_path) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {csv_path}: ")
+
+
+def readme_commands() -> list:
+    """The arguments of every ``swagnn ...`` line in README's shell blocks,
+    lines that end in ``\\`` joined to the next."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("swagnn ")]
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_has_swagnn_examples():
+    assert {argv[0] for argv in README_COMMANDS} >= {"train", "pretrain", "probe", "finetune",
+                                                     "ablate", "augment", "export-hidden",
+                                                     "report"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+def test_readme_examples_parse(argv):
+    # parsed only: an unknown or renamed flag exits with status 2
+    build_parser().parse_args(argv)
 
 
 def test_unknown_subcommand_exits_2():

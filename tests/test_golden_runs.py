@@ -1,0 +1,167 @@
+"""Golden runs: the same config and seed give the same reported numbers.
+
+Each run below drives the ``swagnn`` command on the toy set and collects
+every number it reports (each ``result.json`` field but ``wall_time``,
+``fold_seconds`` and ``config``, the pretraining loss curves, the
+ablation table) and every checkpoint array.  The ablation sweeps also
+keep each swept run's full result from ``training.ablate``.  The values
+are compared with ``fixtures/golden_runs.json``: exactly on the build
+that recorded it (same numpy version and BLAS), to 1e-12 relative on any
+other, since another BLAS may round differently.
+
+A change meant to move these bits records the fixture again, and names
+the values that moved in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden_runs.py
+"""
+
+import csv
+import json
+import math
+import os
+import sys
+import tempfile
+
+import numpy as np
+import pytest
+
+from swagnn.cli import main
+from swagnn.training import TrainConfig, ablate
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_runs.json")
+RELATIVE = 1e-12
+
+BASE = ["--dataset", "toy", "--hidden-graphs", "2", "--hidden-nodes", "4",
+        "--hidden-dim", "8", "--walk-len", "2", "--epochs", "3", "--folds", "2",
+        "--batch-size", "8", "--seed", "0"]
+LGA = ["--augmenter", "lga", "--tau", "0.5", "--objective", "infonce"]
+RUNS = {
+    "train": ["train"],
+    "pretrain": ["pretrain", *LGA],
+    "probe": ["probe", *LGA, "--pretrain-epochs", "2"],
+    "finetune": ["finetune", *LGA, "--pretrain-epochs", "2"],
+    "ablate-tau": ["ablate", "--param", "tau", "--values", "0.5,2.02",
+                   "--pretrain-epochs", "2"],
+    "ablate-num_hidden": ["ablate", "--param", "num_hidden", "--values", "2,3"],
+}
+# the library sweeps behind the two ablate runs, with the same settings
+SWEEPS = {"ablate-tau": ("tau", [0.5, 2.02], 2),
+          "ablate-num_hidden": ("num_hidden", [2, 3], None)}
+SWEEP_CONFIG = dict(dataset="toy", hidden_graphs=2, hidden_nodes=4, hidden_dim=8,
+                    walk_len=2, epochs=3, folds=2, batch_size=8, seed=0)
+UNREPORTED = ("wall_time", "fold_seconds", "config")
+
+
+def build() -> dict:
+    """The numpy version and BLAS library these numbers came from."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+        name = "unknown"
+    return {"numpy": np.__version__, "blas": name}
+
+
+def _arrays(path: str) -> dict:
+    with np.load(path) as archive:
+        return {key: archive[key].tolist() for key in archive.files if key != "__config__"}
+
+
+def _reported(payload: dict) -> dict:
+    return {key: value for key, value in payload.items() if key not in UNREPORTED}
+
+
+def _collect(out: str) -> dict:
+    """Every reported number and checkpoint array that a run wrote to ``out``."""
+    values = {}
+    for name in sorted(os.listdir(out)):
+        path = os.path.join(out, name)
+        if name == "result.json":
+            with open(path, encoding="utf-8") as fh:
+                values[name] = _reported(json.load(fh))
+        elif name == "loss_curves.json":
+            with open(path, encoding="utf-8") as fh:
+                values[name] = json.load(fh)
+        elif name == "ablation.csv":
+            with open(path, encoding="utf-8", newline="") as fh:
+                values[name] = [[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]]
+        elif name.endswith(".npz"):
+            values[name] = _arrays(path)
+    return values
+
+
+def _sweep(run: str) -> list:
+    parameter, swept, pretrain_epochs = SWEEPS[run]
+    results = ablate(TrainConfig(**SWEEP_CONFIG), parameter, swept,
+                     pretrain_epochs=pretrain_epochs)
+    records = []
+    for result in results:
+        record = _reported({name: value for name, value in vars(result).items()
+                            if name != "fold_states"})
+        record["fold_states"] = [{"enc": {k: v.tolist() for k, v in params.to_state().items()},
+                                  "head": {k: v.tolist() for k, v in head.to_state().items()}}
+                                 for params, head in result.fold_states]
+        records.append(record)
+    return records
+
+
+def golden_run(run: str, out: str) -> dict:
+    assert main([*RUNS[run], *BASE, "--out", out]) == 0
+    values = _collect(out)
+    if run in SWEEPS:
+        values["ablate()"] = _sweep(run)
+    return values
+
+
+def mismatch(stored, got, path: str, exact: bool):
+    """The path and values of the first difference, or None."""
+    if isinstance(stored, dict) or isinstance(got, dict):
+        if not (isinstance(stored, dict) and isinstance(got, dict)) or stored.keys() != got.keys():
+            return f"{path}: keys {sorted(stored)} != {sorted(got)}"
+        return next(filter(None, (mismatch(stored[k], got[k], f"{path}/{k}", exact)
+                                  for k in stored)), None)
+    if isinstance(stored, list) or isinstance(got, list):
+        if not (isinstance(stored, list) and isinstance(got, list)) or len(stored) != len(got):
+            return f"{path}: {stored!r} != {got!r}"
+        return next(filter(None, (mismatch(s, g, f"{path}/{i}", exact)
+                                  for i, (s, g) in enumerate(zip(stored, got)))), None)
+    if isinstance(stored, float) or isinstance(got, float):
+        same = stored == got if exact else math.isclose(stored, got, rel_tol=RELATIVE)
+    else:
+        same = stored == got and type(stored) is type(got)
+    return None if same else f"{path}: recorded {stored!r}, got {got!r}"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(FIXTURE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_golden_run(tmp_path, capsys, golden, run):
+    here = build()
+    exact = here == golden["build"]
+    diff = mismatch(golden["runs"][run], golden_run(run, str(tmp_path / run)), run, exact)
+    capsys.readouterr()
+    how = ("compared exactly: this is the recording build" if exact else
+           f"compared to {RELATIVE:g} relative: this build {here} is not the recording "
+           f"build {golden['build']}")
+    assert diff is None, f"{diff} ({how})"
+
+
+def record(path: str = FIXTURE):
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {run: golden_run(run, os.path.join(tmp, run)) for run in sorted(RUNS)}
+    # one line per artefact, so that a diff of the fixture names what moved
+    lines = [f"  {json.dumps(run)}: {{\n" + ",\n".join(
+                 f"    {json.dumps(name)}: {json.dumps(value)}" for name, value in values.items())
+             + "\n  }" for run, values in runs.items()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{"build": {json.dumps(build())},\n "runs": {{\n' + ",\n".join(lines)
+                 + "\n }\n}\n")
+    print(f"wrote {path}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()

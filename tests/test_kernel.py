@@ -569,6 +569,22 @@ def test_graph_cache_entries_die_with_their_graph():
     assert len(graphs_module._GRAPH_CACHE) == before
 
 
+def test_graph_cache_entries_are_read_only():
+    rng = np.random.default_rng(11)
+    cfg = KernelConfig(num_hidden=2, hidden_nodes=3, hidden_dim=2, max_walk=2)
+    g = random_graph(rng, 6)
+    params = SwagParams.init(cfg, g.feature_dim, rng)
+    before = encode_numpy([g], params, cfg)
+    _walk_statistics([g], cfg)
+    walks = graphs_module._GRAPH_CACHE[g][("walks", cfg.diffusion, 2)]
+    for entry in (diffuse(g, cfg.diffusion), walks):
+        with pytest.raises(ValueError):
+            entry *= 2
+        with pytest.raises(ValueError):
+            entry[0, 0] = 1.0
+    np.testing.assert_array_equal(encode_numpy([g], params, cfg), before)
+
+
 def test_encode_batch_is_one_tape_node():
     _, cfg, params, graphs = encoder_case(*ENCODER_CASES[0])
     out = encode_batch(graphs, params, cfg)

@@ -145,6 +145,18 @@ def test_a_per_graph_checkpoint_loads_bit_for_bit():
                 assert value.tobytes() == stored[key].tobytes()
 
 
+def test_a_checkpoint_from_before_pretrain_epochs_loads():
+    with np.load(PER_GRAPH_CHECKPOINT) as archive:
+        stored = json.loads(str(archive["__config__"]))
+    assert "pretrain_epochs" not in stored
+    config = TrainConfig.from_dict(stored)
+    assert config.pretrain_epochs is None
+    # the pretraining budget does not shape the encoder, so any budget fits
+    expect = TrainConfig.from_dict({**stored, "pretrain_epochs": 3})
+    fold_params, _, loaded = load_checkpoint(PER_GRAPH_CHECKPOINT, expect=expect)
+    assert len(fold_params) == 2 and loaded == stored
+
+
 def test_load_checkpoint_missing(tmp_path):
     with pytest.raises(LoadError):
         load_checkpoint(str(tmp_path / "nope.npz"))

@@ -252,7 +252,6 @@ def test_pretrain_returns_per_fold_state():
     pre = pretrain_ssl(cfg, make_toy_dataset())
     assert len(pre.fold_params) == cfg.folds
     assert len(pre.fold_heads) == cfg.folds
-    assert len(pre.folds) == cfg.folds
     assert all(len(c) == 3 for c in pre.loss_curves)
 
 
@@ -405,6 +404,36 @@ def test_ablate_num_hidden_supervised():
     assert [r.config["hidden_graphs"] for r in results] == [2, 8]
     for r in results:
         assert all(acc == 1.0 for acc in r.train_accuracies)
+
+
+@pytest.mark.parametrize("parameter, values", [("num_hidden", [2, 0]), ("num_hidden", [2, "x"]),
+                                               ("tau", [10.0, float("nan")])])
+def test_ablate_checks_every_value_before_the_first_run(monkeypatch, recwarn, parameter,
+                                                        values):
+    calls = []
+    monkeypatch.setattr(swagnn.training, "cross_validate", lambda *args: calls.append(args))
+    monkeypatch.setattr(swagnn.training, "load_dataset", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError):
+        ablate(small_cfg(epochs=1), parameter, values)
+    assert calls == []
+    assert len(recwarn) == 0  # nor is tau=10.0 warned about
+
+
+def test_pretrain_epochs_is_a_field_that_the_keywords_set():
+    ds = make_toy_dataset()
+    cfg = small_cfg(epochs=3, mode="pretrain", augmenter="identity")
+    by_field = pretrain_ssl(dataclasses.replace(cfg, pretrain_epochs=1), ds)
+    by_keyword = pretrain_ssl(cfg, ds, epochs=1)
+    assert by_field.config == by_keyword.config
+    assert by_field.config["pretrain_epochs"] == 1
+    assert by_field.loss_curves == by_keyword.loss_curves
+    assert [len(curve) for curve in by_field.loss_curves] == [1, 1]
+    probe = dataclasses.replace(cfg, mode="probe")
+    assert cross_validate(probe, ds, pretrain_epochs=2).config["pretrain_epochs"] == 2
+    assert [r.config["pretrain_epochs"] for r in ablate(probe, "num_hidden", [2], ds,
+                                                        pretrain_epochs=0)] == [0]
+    with pytest.raises(ConfigError, match="pretrain_epochs must be >= 0, got -1"):
+        small_cfg(pretrain_epochs=-1)
 
 
 def test_ablate_rejects_unknown_parameter():
