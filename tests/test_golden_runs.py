@@ -35,9 +35,14 @@ BASE = ["--dataset", "toy", "--hidden-graphs", "2", "--hidden-nodes", "4",
         "--hidden-dim", "8", "--walk-len", "2", "--epochs", "3", "--folds", "2",
         "--batch-size", "8", "--seed", "0"]
 LGA = ["--augmenter", "lga", "--tau", "0.5", "--objective", "infonce"]
+EDGE_DROP = ["--augmenter", "edge-drop", "--drop-rate", "0.3", "--objective", "infonce"]
 RUNS = {
     "train": ["train"],
     "pretrain": ["pretrain", *LGA],
+    "pretrain-simsiam": ["pretrain", "--augmenter", "lga", "--tau", "0.5",
+                         "--objective", "simsiam"],
+    "pretrain-edge-drop": ["pretrain", *EDGE_DROP],
+    "probe-edge-drop": ["probe", *EDGE_DROP, "--pretrain-epochs", "2"],
     "probe": ["probe", *LGA, "--pretrain-epochs", "2"],
     "finetune": ["finetune", *LGA, "--pretrain-epochs", "2"],
     "ablate-tau": ["ablate", "--param", "tau", "--values", "0.5,2.02",
