@@ -2,14 +2,22 @@
 
 Every operation records its inputs and a vector-Jacobian closure on the
 output node; ``backward`` replays the recorded graph once in reverse
-topological order.  Training calls matrix multiplication, same-shape
-and bias-broadcast addition, elementwise multiplication, scalar scaling,
-relu, transpose, row-wise log-softmax, sum/mean reductions, row-wise L2
-normalization and stop-gradient; the encoder itself is one fused node
-built with ``_node``.  Sigmoid and the trace of a matrix product serve
-``kernel.hidden_adjacency`` and ``kernel.smoothed_kernel``, the tape form
-of the kernel for one hidden graph, which only the kernel oracles use.
-All arithmetic is double precision.
+topological order.  Training records three fused nodes built with
+``_node``, each with a hand-written VJP: the encoder
+(``kernel.encode_batch``), the two-layer MLP head
+(``ssl.TwoLayerMLP``) and the softmax cross-entropy
+(``ssl.softmax_cross_entropy``, whose values come from
+``_log_softmax_rows``, the helper behind ``log_softmax``).  Besides these,
+InfoNCE's similarities use matrix multiplication and transpose, and the
+non-contrastive loss uses row-wise L2 normalization, elementwise
+multiplication, sum/mean reductions, scalar scaling and stop-gradient.
+Addition (same-shape and bias-broadcast), relu and log-softmax now serve
+only the oracles and tests, which check the fused nodes against the
+chains of them they replace.  Sigmoid and the trace of a matrix product
+serve ``kernel.hidden_adjacency`` and ``kernel.smoothed_kernel``, the
+tape form of the kernel for one hidden graph, which only the kernel
+oracles use.  ``Adam`` keeps its parameters in one flat buffer and
+updates them all in one pass.  All arithmetic is double precision.
 """
 
 from __future__ import annotations
@@ -224,6 +232,18 @@ def trace_product(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), vjp, "trace_product")
 
 
+def _log_softmax_rows(x: np.ndarray):
+    """Row-wise log-softmax of a matrix and the softmax probabilities its
+    VJP needs; ``log_softmax`` and ``ssl.softmax_cross_entropy`` share it."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    probs = e / total
+    normal = probs >= _TINY
+    return np.where(normal, np.log(np.where(normal, probs, 1.0)),
+                    shifted - np.log(total)), probs
+
+
 def log_softmax(a: Tensor) -> Tensor:
     """Row-wise log-softmax that stays finite wherever the logits are.
 
@@ -235,13 +255,7 @@ def log_softmax(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ContractError(f"log_softmax: expected a matrix, got shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    probs = e / total
-    normal = probs >= _TINY
-    out_data = np.where(normal, np.log(np.where(normal, probs, 1.0)),
-                        shifted - np.log(total))
+    out_data, probs = _log_softmax_rows(a.data)
 
     def vjp(g):
         _accumulate(a, g - probs * g.sum(axis=1, keepdims=True))
@@ -364,33 +378,78 @@ def backward(loss: Tensor):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction over a fixed list of parameter tensors."""
+    """Adam with bias correction over a fixed list of parameter tensors.
+
+    The optimizer owns four flat buffers, ``data``, ``grad``, ``m`` and
+    ``v``, and each parameter's ``data`` becomes a view into ``data``.
+    ``zero_grad`` binds each ``grad`` to its view of the zeroed ``grad``
+    buffer, so ``backward`` accumulates straight into it, and ``step``
+    updates every parameter with one pass of elementwise operations: the
+    same operations, in the same order, as a per-tensor update, so the
+    same bits.  A ``grad`` assigned directly is copied in (``None`` counts
+    as zero), and a ``data`` rebound by the caller is copied in and bound
+    to its view again.
+    """
 
     def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ContractError("Adam: a parameter is listed twice")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        # separate buffers: a kept parameter keeps only its data and grad alive
+        size = sum(p.data.size for p in self.params)
+        self.data, self.grad, self.m, self.v, self._work, self._denom = (
+            np.zeros(size) for _ in range(6))
+        self._views, lo = [], 0
+        for p in self.params:
+            hi = lo + p.data.size
+            data = self.data[lo:hi].reshape(p.data.shape)
+            data[...] = p.data
+            self._views.append((p, data, self.grad[lo:hi].reshape(p.data.shape)))
+            p.data, lo = data, hi
+
+    def _gather(self):
+        """Bring each parameter's value and gradient into the buffers."""
+        for i, (p, data, grad) in enumerate(self._views):
+            if p.data is not data:
+                data[...] = self._checked(i, "value", p.data, data.shape)
+                p.data = data
+            if p.grad is not grad:
+                grad[...] = 0.0 if p.grad is None else self._checked(i, "gradient", p.grad,
+                                                                     grad.shape)
+
+    @staticmethod
+    def _checked(i: int, what: str, array, shape) -> np.ndarray:
+        if np.shape(array) != shape:
+            raise ContractError(f"Adam: parameter {i} has shape {shape} but its {what} "
+                                f"has shape {np.shape(array)}")
+        return array
 
     def step(self):
+        self._gather()
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, m, v, work, denom = self.grad, self.m, self.v, self._work, self._denom
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+        np.multiply(m, self.beta1, out=m)
+        np.add(m, np.multiply(g, 1.0 - self.beta1, out=work), out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(g, g, out=work)
+        np.add(v, np.multiply(work, 1.0 - self.beta2, out=work), out=v)
+        # data -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(np.divide(m, bc1, out=work), self.lr, out=work)
+        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), self.eps, out=denom)
+        np.subtract(self.data, np.divide(work, denom, out=work), out=self.data)
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.grad.fill(0.0)
+        for p, _, grad in self._views:
+            p.grad = grad
 
 
 def finite_diff_check(f, params, step=1e-5, zero_tol=1e-8) -> float:

@@ -19,7 +19,7 @@ from .kernel import KernelConfig, SwagParams, encode_batch, state_array
 
 
 class TwoLayerMLP:
-    """ReLU MLP with one hidden layer."""
+    """ReLU MLP with one hidden layer, recorded on the tape as one node."""
 
     def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
         if w1.data.shape[1] != b1.data.shape[0] or w2.data.shape[1] != b2.data.shape[0]:
@@ -42,7 +42,38 @@ class TwoLayerMLP:
         return cls(w1, b1, w2, b2)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return (x @ self.w1 + self.b1).relu() @ self.w2 + self.b2
+        """relu(x W1 + b1) W2 + b2, recorded as one tape node.
+
+        Values and gradients are those of the chain ``matmul``, bias
+        ``add``, ``relu``, ``matmul``, bias ``add``, bit for bit: the VJP
+        forms the same products of C-ordered arrays (another layout would
+        change BLAS's rounding).  Only the sign of some zeros in its
+        intermediates differs, and that cannot reach a parent, whose
+        gradient is always built as zeros + (a sum of products).
+        """
+        x = ad._as_tensor(x)
+        w1, b1, w2, b2 = self.parameters()
+        if x.data.ndim != 2 or x.data.shape[1] != w1.data.shape[0]:
+            raise ContractError(f"{type(self).__name__}: input of shape {x.data.shape} does not "
+                                f"fit a first layer of shape {w1.data.shape}")
+        pre = x.data @ w1.data + b1.data
+        hidden = np.maximum(pre, 0.0)
+
+        def vjp(g):
+            # g is out.grad, already zeros + (the consumer's gradient)
+            if w2.requires_grad:
+                ad._accumulate(w2, hidden.T @ g)
+            if b2.requires_grad:
+                ad._accumulate(b2, g.sum(axis=0))
+            g = np.where(pre > 0, g @ w2.data.T, 0.0)
+            if x.requires_grad:
+                ad._accumulate(x, g @ w1.data.T)
+            if w1.requires_grad:
+                ad._accumulate(w1, x.data.T @ g)
+            if b1.requires_grad:
+                ad._accumulate(b1, g.sum(axis=0))
+
+        return ad._node(hidden @ w2.data + b2.data, (x, w1, b1, w2, b2), vjp, "mlp")
 
     def parameters(self) -> list:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -110,11 +141,34 @@ def make_ssl_batch(graphs: list, augmenter, params: SwagParams, cfg: KernelConfi
 # ---------------------------------------------------------------------------
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of the true classes."""
-    onehot = np.zeros(logits.data.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    picked = ad.reduce_sum(ad.log_softmax(logits) * ad.constant(onehot), axis=1)
-    return ad.scale(picked.mean(), -1.0)
+    """Mean negative log-likelihood of the true classes, one per row of
+    ``logits``, recorded as one tape node.
+
+    Values and gradients are those of the composed chain (``log_softmax``,
+    a one-hot ``multiply``, a row ``sum``, ``mean`` and ``scale`` by -1),
+    bit for bit; the log-softmax values come from the helper behind
+    ``ad.log_softmax``.
+    """
+    logits = ad._as_tensor(logits)
+    if logits.data.ndim != 2:
+        raise ContractError(f"softmax_cross_entropy: expected a matrix of logits, "
+                            f"got shape {logits.data.shape}")
+    count = logits.data.shape[0]
+    labels = np.asarray(labels)
+    if labels.shape != (count,):
+        raise ContractError(f"softmax_cross_entropy: {count} rows of logits but labels of "
+                            f"shape {labels.shape}")
+    rows = np.arange(count)
+    logp, probs = ad._log_softmax_rows(logits.data)
+
+    def vjp(g):
+        # the gradient the chain hands log_softmax: -g / count on each true
+        # class, +0.0 elsewhere; then log_softmax's own VJP
+        d = np.zeros(logits.data.shape)
+        d[rows, labels] = (g * -1.0) / count
+        ad._accumulate(logits, d - probs * d.sum(axis=1, keepdims=True))
+
+    return ad._node(logp[rows, labels].mean() * -1.0, (logits,), vjp, "softmax_cross_entropy")
 
 
 def infonce_from_similarities(sim: Tensor) -> Tensor:

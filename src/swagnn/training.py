@@ -232,15 +232,6 @@ def _accuracy(encodings: np.ndarray, labels: np.ndarray, head: TwoLayerMLP) -> f
     return float(np.mean(logits.argmax(axis=1) == labels))
 
 
-def _snapshot(params_list: list) -> list:
-    return [p.data.copy() for p in params_list]
-
-
-def _restore(params_list: list, snapshot: list):
-    for p, data in zip(params_list, snapshot):
-        p.data = data.copy()
-
-
 def _check_finite(value: float, what: str, fold: int, epoch: int):
     if not np.isfinite(value):
         raise TrainingError(f"{what} became non-finite at fold {fold}, epoch {epoch}")
@@ -334,13 +325,13 @@ def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, kcfg: KernelConfi
         val_curve.append(val_acc)
         if val_acc > best_val:
             best_val, best_epoch = val_acc, epoch
-            best_state = _snapshot(trained)
+            best_state = opt.data.copy()
 
     test_graphs = [ds.graphs[i] for i in split.test_idx]
     with _overflow_checked("evaluation", fold, cfg.epochs - 1):
         final_train_acc = _accuracy(train_enc if frozen else encode(train_graphs),
                                     train_labels, predictor)
-        _restore(trained, best_state)
+        opt.data[...] = best_state  # in place: each parameter is a view of it
         test_acc = _accuracy(encode(test_graphs), labels[split.test_idx], predictor)
     return {"test_accuracy": test_acc,
             "val_accuracy": best_val,

@@ -263,6 +263,94 @@ def test_adam_reduces_quadratic():
     assert np.all(np.abs(p.data) < 0.05)
 
 
+def per_tensor_adam(values, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The update ``Adam.step`` must give bit for bit, one tensor at a time;
+    a gradient of None counts as zero."""
+    out = [np.array(x, dtype=float) for x in values]
+    m = [np.zeros_like(x) for x in out]
+    v = [np.zeros_like(x) for x in out]
+    for t, step_grads in enumerate(grads, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for i, g in enumerate(step_grads):
+            g = np.zeros_like(out[i]) if g is None else g
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+            out[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+    return out
+
+
+def test_adam_flat_buffer_matches_the_per_tensor_update_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shapes = [(3, 4), (5,), (), (2, 3)]
+    values = [rng.standard_normal(shape) for shape in shapes]
+    params = [ad.parameter(x.copy()) for x in values]
+    opt = ad.Adam(params, lr=0.05)
+    grads = []
+    for step in range(8):
+        step_grads = [rng.standard_normal(shape) for shape in shapes]
+        how = step % 3
+        if how == 0:  # through backward, into the buffer's gradient views
+            opt.zero_grad()
+            loss = ad.constant(np.array(0.0))
+            for p, g in zip(params, step_grads):
+                loss = loss + ad.multiply(p, ad.constant(g)).sum()
+            ad.backward(loss)
+        elif how == 1:  # assigned directly
+            for p, g in zip(params, step_grads):
+                p.grad = g.copy()
+        else:  # one set to None and one assigned; the rest keep the last step's
+            step_grads = [None, step_grads[1], grads[-1][2], grads[-1][3]]
+            params[0].grad = None
+            params[1].grad = step_grads[1].copy()
+        grads.append(step_grads)
+        opt.step()
+    for p, want in zip(params, per_tensor_adam(values, grads, lr=0.05)):
+        assert p.data.shape == want.shape and p.data.tobytes() == want.tobytes()
+
+
+def test_adam_parameters_are_views_of_its_buffers():
+    def run(rebind: bool):
+        rng = np.random.default_rng(13)
+        params = [ad.parameter(rng.standard_normal((2, 3))),
+                  ad.parameter(rng.standard_normal(3))]
+        opt = ad.Adam(params)
+        opt.zero_grad()
+        ad.backward((params[0] @ ad.constant(np.ones((3, 1)))).sum() + params[1].sum())
+        opt.step()
+        for p in params:
+            assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+        # a value rebound by the caller is copied in and bound to its view again
+        if rebind:
+            params[1].data = np.array([1.0, 2.0, 3.0])
+        else:
+            params[1].data[...] = [1.0, 2.0, 3.0]
+        opt.step()
+        assert all(np.shares_memory(p.data, opt.data) for p in params)
+        return [p.data.copy() for p in params]
+
+    for got, want in zip(run(rebind=True), run(rebind=False)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grad", [np.array([0.5]), np.zeros((4, 1)), np.array(0.5)])
+def test_adam_rejects_a_gradient_of_another_shape(grad):
+    params = [ad.parameter(np.ones(2)), ad.parameter(np.ones(4))]
+    opt = ad.Adam(params)
+    params[1].grad = grad
+    with pytest.raises(ContractError) as exc:
+        opt.step()
+    assert "parameter 1" in str(exc.value)
+    assert "(4,)" in str(exc.value) and str(grad.shape) in str(exc.value)
+    np.testing.assert_array_equal(params[1].data, np.ones(4))
+
+
+def test_adam_rejects_a_parameter_listed_twice():
+    p = ad.parameter(np.ones(3))
+    with pytest.raises(ContractError):
+        ad.Adam([p, p])
+
+
 # ---------------------------------------------------------------------------
 # finite_diff_check utility
 # ---------------------------------------------------------------------------

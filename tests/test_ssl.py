@@ -15,6 +15,7 @@ from swagnn.ssl import (
     infonce_loss,
     make_ssl_batch,
     noncontrastive_loss,
+    softmax_cross_entropy,
 )
 
 identity = lambda x: x  # noqa: E731 - stub head for arithmetic checks
@@ -223,3 +224,130 @@ def test_make_batch_lga_fixed_point_on_complete_graphs():
     cfg, params, graphs = small_setup()
     batch = make_ssl_batch(graphs, LgaAugmenter(tau=0.3, seed=1), params, cfg, epoch=0)
     np.testing.assert_allclose(batch.positives.data, batch.anchors.data, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the fused head and cross-entropy against the primitive chains they replace
+# ---------------------------------------------------------------------------
+
+def composed_head(head, x):
+    """relu(x W1 + b1) W2 + b2 as matmul, bias add, relu, matmul, bias add."""
+    return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, head.w1), head.b1)), head.w2), head.b2)
+
+
+def composed_cross_entropy(logits, labels):
+    onehot = np.zeros(logits.data.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    picked = ad.reduce_sum(ad.log_softmax(logits) * ad.constant(onehot), axis=1)
+    return ad.scale(picked.mean(), -1.0)
+
+
+def oracle_case(name):
+    """(head, inputs, loss) for one oracle case: ``loss(mlp, ce)`` builds the
+    case's loss from a head function and a cross-entropy function."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    # probe-sized, so that a change of memory layout changes BLAS's rounding
+    head = TwoLayerMLP.init(48, 32, 3, rng)
+    n = 1 if name == "batch-1" else 16
+    x = ad.constant(rng.standard_normal((n, 48)))
+    labels = rng.integers(0, 3, size=n)
+    inputs = [x]
+
+    def loss(mlp, ce):
+        return ce(mlp(x), labels)
+
+    if name == "relu-at-zero":
+        # every pre-activation of hidden unit 1, and all of row 0, is exactly 0
+        head.w1.data[:, 1] = 0.0
+        head.b1.data[1] = 0.0
+        head.b1.data[2:] = 0.0
+        x.data[0] = 0.0
+    elif name == "logit-gap-800":
+        # class 0 leads by 800 on every row: the others' probabilities underflow
+        head.b2.data[:] = [800.0, 0.0, -1.0]
+        labels[:3] = [1, 2, 0]
+    elif name == "input-requires-grad":
+        inputs = [ad.parameter(x.data.copy())]
+        x = inputs[0]
+    elif name == "infonce":
+        a, p = (ad.parameter(rng.standard_normal((n, 48))) for _ in range(2))
+        inputs = [a, p]
+
+        def loss(mlp, ce):
+            return ce(mlp(a) @ mlp(p).transpose(), np.arange(n))
+    elif name == "upstream-weights":
+        # an upstream gradient with zeros and signs of both kinds, and a
+        # scaled cross-entropy
+        weights = rng.standard_normal((n, 3))
+        weights[::2] = -np.abs(weights[::2])
+        weights[1] = 0.0
+
+        def loss(mlp, ce):
+            return ad.scale(ce(mlp(x), labels), 2.5) + (mlp(x) * ad.constant(weights)).sum()
+    return head, inputs, loss
+
+
+ORACLE_CASES = ["batch-1", "relu-at-zero", "logit-gap-800", "input-requires-grad",
+                "infonce", "upstream-weights"]
+
+
+def loss_and_gradients(loss, leaves):
+    for leaf in leaves:
+        leaf.grad = None
+    value = loss()
+    ad.backward(value)
+    return [value.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_fused_head_and_cross_entropy_equal_the_composed_chain_byte_for_byte(name):
+    head, inputs, loss = oracle_case(name)
+    leaves = head.parameters() + [t for t in inputs if t.requires_grad]
+    want = loss_and_gradients(lambda: loss(lambda x: composed_head(head, x),
+                                           composed_cross_entropy), leaves)
+    got = loss_and_gradients(lambda: loss(head, softmax_cross_entropy), leaves)
+    assert len(got) == len(want)
+    for what, g, w in zip(["loss"] + [f"grad {i}" for i in range(len(leaves))], got, want):
+        assert g is not None and w is not None, what
+        assert (g.shape, g.dtype) == (w.shape, w.dtype), what
+        assert g.tobytes() == w.tobytes(), f"{name}: {what} differs from the composed chain"
+
+
+def test_oracle_cases_reach_the_branches_they_name():
+    head, (x,), _ = oracle_case("relu-at-zero")
+    assert np.sum((x.data @ head.w1.data + head.b1.data) == 0.0) >= x.data.shape[0] + 3
+    head, (x,), _ = oracle_case("logit-gap-800")
+    logits = head(x).data
+    assert np.all(np.exp(logits[:, 1:] - logits[:, :1]) == 0.0)
+
+
+def test_fused_nodes_pass_finite_differences():
+    rng = np.random.default_rng(21)
+    head = TwoLayerMLP.init(4, 6, 3, rng)
+    x = ad.parameter(rng.standard_normal((5, 4)))
+    weights = ad.constant(rng.standard_normal((5, 3)))
+    assert ad.finite_diff_check(lambda: (head(x) * weights).sum(),
+                                head.parameters() + [x]) <= 1e-6
+    logits = ad.parameter(rng.standard_normal((5, 3)) * 3.0)
+    labels = np.array([0, 2, 1, 1, 0])
+    assert ad.finite_diff_check(lambda: softmax_cross_entropy(logits, labels), [logits]) <= 1e-6
+
+
+def test_a_probe_loss_records_two_tape_nodes():
+    rng = np.random.default_rng(22)
+    head = TwoLayerMLP.init(48, 32, 2, rng)
+    loss = softmax_cross_entropy(head(ad.constant(rng.standard_normal((16, 48)))),
+                                 rng.integers(0, 2, size=16))
+    assert sum(1 for node in ad.Tape(loss).nodes if node._parents) <= 2
+
+
+def test_fused_head_and_loss_reject_bad_shapes():
+    rng = np.random.default_rng(23)
+    head = TwoLayerMLP.init(4, 5, 3, rng)
+    for x in (np.zeros((2, 5)), np.zeros(4), np.zeros((2, 4, 1))):
+        with pytest.raises(ContractError):
+            head(ad.constant(x))
+    with pytest.raises(ContractError):
+        softmax_cross_entropy(ad.constant(np.zeros((3, 2))), np.array([0, 1]))
+    with pytest.raises(ContractError):
+        softmax_cross_entropy(ad.constant(np.zeros(3)), np.array([0]))

@@ -329,6 +329,49 @@ def test_adapt_validation():
         adapt(mismatched, cfg, ds)
 
 
+@pytest.fixture
+def optimizers(monkeypatch):
+    """Every optimizer that training builds, in order."""
+    made = []
+
+    class Recorded(ad.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(ad, "Adam", Recorded)
+    return made
+
+
+def assert_views(optimizers, count):
+    assert len(optimizers) == count
+    for opt in optimizers:
+        assert opt.params
+        for p in opt.params:
+            assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+
+
+def test_trained_parameters_stay_views_of_their_optimizer(optimizers):
+    ds = make_toy_dataset()
+    cfg = small_cfg(epochs=3, augmenter="edge-drop", drop_rate=0.3)
+    train_supervised(cfg, ds)
+    assert_views(optimizers, cfg.folds)
+    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=2)
+    assert_views(optimizers, 2 * cfg.folds)
+    probe = adapt(pre, dataclasses.replace(cfg, mode="probe"), ds)
+    assert_views(optimizers, 3 * cfg.folds)
+    # a fold whose best epoch was an earlier one had it restored in place:
+    # its head is the one a run that stops at that epoch ends with
+    fold = int(np.argmin(probe.best_epochs))
+    best = probe.best_epochs[fold]
+    assert best < cfg.epochs - 1
+    stopped = adapt(pre, dataclasses.replace(cfg, mode="probe", epochs=best + 1), ds)
+    assert stopped.best_epochs[fold] == best
+    restored, final = probe.fold_states[fold][1], stopped.fold_states[fold][1]
+    for a, b in zip(restored.parameters(), final.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+
+
 def test_negative_pretrain_epochs_is_a_config_error():
     ds = make_toy_dataset()
     cfg = small_cfg(epochs=1, mode="probe")
