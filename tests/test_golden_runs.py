@@ -1,13 +1,17 @@
 """Golden runs: the same config and seed give the same reported numbers.
 
-Each run below drives the ``swagnn`` command on the toy set and collects
-every number it reports (each ``result.json`` field but ``wall_time``,
-``fold_seconds`` and ``config``, the pretraining loss curves, the
-ablation table) and every checkpoint array.  The ablation sweeps also
-keep each swept run's full result from ``training.ablate``.  The values
-are compared with ``fixtures/golden_runs.json``: exactly on the build
-that recorded it (same numpy version and BLAS), to 1e-12 relative on any
-other, since another BLAS may round differently.
+Each run below drives the ``swagnn`` command on the toy set, or on a
+small seeded MUTAG-shaped set that ``write_tu_set`` writes in the TU text
+layout, and collects every number it reports (each ``result.json`` field
+but ``wall_time``, ``fold_seconds`` and ``config``, the pretraining loss
+curves, the ablation table, the augmentation manifest), every checkpoint
+array and every TU file ``augment`` writes, as its SHA-256 digest and its
+values.  The ablation sweeps also keep each swept run's full result from
+``training.ablate``.  The values are compared with
+``fixtures/golden_runs.json``: exactly, digests included, on the build
+that recorded it (same numpy version and BLAS), to 1e-12 relative and
+without the digests on any other, since another BLAS may round
+differently.
 
 A change meant to move these bits records the fixture again, and names
 the values that moved in CHANGES.md:
@@ -16,6 +20,7 @@ the values that moved in CHANGES.md:
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -31,9 +36,10 @@ from swagnn.training import TrainConfig, ablate
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_runs.json")
 RELATIVE = 1e-12
 
-BASE = ["--dataset", "toy", "--hidden-graphs", "2", "--hidden-nodes", "4",
-        "--hidden-dim", "8", "--walk-len", "2", "--epochs", "3", "--folds", "2",
-        "--batch-size", "8", "--seed", "0"]
+SETTINGS = ["--hidden-graphs", "2", "--hidden-nodes", "4", "--hidden-dim", "8",
+            "--walk-len", "2", "--epochs", "3", "--folds", "2", "--batch-size", "8",
+            "--seed", "0"]
+BASE = ["--dataset", "toy", *SETTINGS]
 LGA = ["--augmenter", "lga", "--tau", "0.5", "--objective", "infonce"]
 EDGE_DROP = ["--augmenter", "edge-drop", "--drop-rate", "0.3", "--objective", "infonce"]
 RUNS = {
@@ -49,6 +55,14 @@ RUNS = {
                    "--pretrain-epochs", "2"],
     "ablate-num_hidden": ["ablate", "--param", "num_hidden", "--values", "2,3"],
 }
+# runs on the TU sets that write_tu_set writes: node labels only (GOLD), and
+# node labels plus two attribute columns (GOLDATTR)
+TU_RUNS = {f"{name.lower()}-{run}": (name, args)
+           for name in ("GOLD", "GOLDATTR")
+           for run, args in (("train", ["train"]),
+                             ("augment-edge-drop", ["augment", "--augmenter", "edge-drop",
+                                                    "--drop-rate", "0.3"]),
+                             ("augment-lga", ["augment", "--augmenter", "lga", "--tau", "0.5"]))}
 # the library sweeps behind the two ablate runs, with the same settings
 SWEEPS = {"ablate-tau": ("tau", [0.5, 2.02], 2),
           "ablate-num_hidden": ("num_hidden", [2, 3], None)}
@@ -65,6 +79,46 @@ def build() -> dict:
     except (TypeError, KeyError):  # numpy < 1.26 prints its config only
         name = "unknown"
     return {"numpy": np.__version__, "blas": name}
+
+
+def write_tu_set(directory: str, name: str, attributes: bool, seed: int = 0,
+                 graphs: int = 24):
+    """A MUTAG-shaped set: ``graphs`` molecules of 10-28 nodes with 7 node
+    labels and graph labels 1 and -1; class 1 graphs carry two fused
+    6-rings, class -1 graphs a tree.  With ``attributes``, two float columns
+    of node attributes as well."""
+    rng = np.random.default_rng(seed)
+    edges, indicator, glabels, nlabels = [], [], [], []
+    offset = 0
+    for gi in range(1, graphs + 1):
+        n, positive = int(rng.integers(10, 29)), gi % 3 != 0
+        bonds = [(v, (v + 1) % 6) for v in range(6)] + [(4, 6), (6, 7), (7, 8), (8, 9), (9, 3)]
+        bonds = bonds if positive else []
+        for v in range(10 if positive else 1, n):
+            bonds.append((int(rng.integers(0, v)), v))
+        for u, v in bonds:
+            edges += [f"{offset + u + 1}, {offset + v + 1}", f"{offset + v + 1}, {offset + u + 1}"]
+        indicator += [str(gi)] * n
+        glabels.append("1" if positive else "-1")
+        nlabels += [str(x) for x in rng.choice(7, size=n, p=[0.6, 0.1, 0.15, 0.05, 0.04, 0.03,
+                                                              0.03])]
+        offset += n
+    files = {"A": edges, "graph_indicator": indicator, "graph_labels": glabels,
+             "node_labels": nlabels}
+    if attributes:
+        files["node_attributes"] = [f"{a!r}, {b!r}"
+                                    for a, b in rng.normal(size=(offset, 2)).tolist()]
+    os.makedirs(directory, exist_ok=True)
+    for suffix, lines in files.items():
+        with open(os.path.join(directory, f"{name}_{suffix}.txt"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
+def _number(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
 
 
 def _arrays(path: str) -> dict:
@@ -92,6 +146,23 @@ def _collect(out: str) -> dict:
                 values[name] = [[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]]
         elif name.endswith(".npz"):
             values[name] = _arrays(path)
+        elif name.endswith("_augmentation.json"):
+            with open(path, encoding="utf-8") as fh:
+                values[name] = json.load(fh)
+        elif name.endswith(".txt"):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            values[name] = {"sha256": hashlib.sha256(data).hexdigest(),
+                            "values": [[_number(t) for t in line.split(",")]
+                                       for line in data.decode().splitlines()]}
+    return values
+
+
+def _without_digests(values):
+    if isinstance(values, dict):
+        return {k: _without_digests(v) for k, v in values.items() if k != "sha256"}
+    if isinstance(values, list):
+        return [_without_digests(v) for v in values]
     return values
 
 
@@ -111,6 +182,13 @@ def _sweep(run: str) -> list:
 
 
 def golden_run(run: str, out: str) -> dict:
+    if run in TU_RUNS:
+        name, args = TU_RUNS[run]
+        data = out + "-data"
+        write_tu_set(data, name, attributes=name == "GOLDATTR")
+        assert main([*args, "--dataset", name, "--data-dir", data, *SETTINGS,
+                     "--out", out]) == 0
+        return _collect(out)
     assert main([*RUNS[run], *BASE, "--out", out]) == 0
     values = _collect(out)
     if run in SWEEPS:
@@ -143,11 +221,14 @@ def golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
+@pytest.mark.parametrize("run", sorted([*RUNS, *TU_RUNS]))
 def test_golden_run(tmp_path, capsys, golden, run):
     here = build()
     exact = here == golden["build"]
-    diff = mismatch(golden["runs"][run], golden_run(run, str(tmp_path / run)), run, exact)
+    stored, got = golden["runs"][run], golden_run(run, str(tmp_path / run))
+    if not exact:
+        stored, got = _without_digests(stored), _without_digests(got)
+    diff = mismatch(stored, got, run, exact)
     capsys.readouterr()
     how = ("compared exactly: this is the recording build" if exact else
            f"compared to {RELATIVE:g} relative: this build {here} is not the recording "
@@ -157,7 +238,8 @@ def test_golden_run(tmp_path, capsys, golden, run):
 
 def record(path: str = FIXTURE):
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {run: golden_run(run, os.path.join(tmp, run)) for run in sorted(RUNS)}
+        runs = {run: golden_run(run, os.path.join(tmp, run))
+                for run in sorted([*RUNS, *TU_RUNS])}
     # one line per artefact, so that a diff of the fixture names what moved
     lines = [f"  {json.dumps(run)}: {{\n" + ",\n".join(
                  f"    {json.dumps(name)}: {json.dumps(value)}" for name, value in values.items())

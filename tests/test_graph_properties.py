@@ -17,6 +17,7 @@ from swagnn.cli import main  # noqa: E402
 from swagnn.errors import SwagError  # noqa: E402
 from swagnn.graphs import (Dataset, Graph, load_tu_dataset,  # noqa: E402
                            stratified_folds, write_tu_dataset)
+from test_tu_loader import assert_same_outcome  # noqa: E402
 
 FEATURES = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -108,6 +109,14 @@ def test_mutated_tu_input_ends_in_a_dataset_or_a_swag_error(mutations, augmenter
     assert "Traceback" not in stderr.getvalue()
     if code == 1:
         assert stderr.getvalue().startswith("error: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(MUTATIONS, min_size=1, max_size=3))
+def test_mutated_tu_input_loads_as_the_oracle_does(mutations):
+    with tempfile.TemporaryDirectory() as directory:
+        _mutated_tu(directory, mutations)
+        assert_same_outcome(directory, "FUZZ")
 
 
 @st.composite

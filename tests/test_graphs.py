@@ -269,6 +269,56 @@ def test_load_tu_skips_blank_and_whitespace_lines(tmp_path):
     assert "TOY_A.txt:13:" in str(exc.value)
 
 
+def test_load_tu_drops_self_loops_and_symmetrises_edges(tmp_path):
+    d = write_fixture(tmp_path)
+    plain = load_tu_dataset(d, "TOY")
+    # a self-loop line, a duplicate line, and edges listed in one direction only
+    (tmp_path / "TOY" / "TOY_A.txt").write_text("1, 2\n2, 2\n2, 3\n1, 3\n1, 2\n5, 4\n3, 1\n")
+    loose = load_tu_dataset(d, "TOY")
+    for g, h in zip(plain.graphs, loose.graphs):
+        np.testing.assert_array_equal(g.adjacency, h.adjacency)
+        np.testing.assert_array_equal(g.features, h.features)
+    assert loose.graphs[0].adjacency[1, 1] == 0.0
+
+
+@pytest.mark.parametrize("labels, expected", [
+    ("1\n-1\n", [1, 0]),
+    ("-3\n-7\n", [1, 0]),
+    ("5\n40\n", [0, 1]),
+    ("100000000000000000000\n-7\n", [1, 0]),
+    ("-100000000000000000000\n100000000000000000000\n", [0, 1]),
+])
+def test_load_tu_remaps_any_integer_graph_labels(tmp_path, labels, expected):
+    d = write_fixture(tmp_path)
+    (tmp_path / "TOY" / "TOY_graph_labels.txt").write_text(labels)
+    ds = load_tu_dataset(d, "TOY")
+    assert ds.num_classes == 2
+    assert [g.label for g in ds.graphs] == expected
+    assert all(type(g.label) is int for g in ds.graphs)
+
+
+def test_load_tu_one_hot_encodes_node_labels_beyond_int64(tmp_path):
+    d = write_fixture(tmp_path, with_node_labels=True)
+    (tmp_path / "TOY" / "TOY_node_labels.txt").write_text(
+        "0\n100000000000000000000\n0\n-5\n100000000000000000000\n")
+    ds = load_tu_dataset(d, "TOY")
+    # categories in sorted order: -5, 0, 10**20
+    assert ds.feature_dim == 3
+    np.testing.assert_array_equal(ds.graphs[0].features,
+                                  np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]], dtype=float))
+    np.testing.assert_array_equal(ds.graphs[1].features,
+                                  np.array([[1, 0, 0], [0, 0, 1]], dtype=float))
+
+
+@pytest.mark.parametrize("edge", ["1, 100000000000000000000", "-100000000000000000000, 2"])
+def test_load_tu_node_id_beyond_int64_is_a_format_error(tmp_path, edge):
+    d = write_fixture(tmp_path)
+    (tmp_path / "TOY" / "TOY_A.txt").write_text(f"1, 2\n2, 1\n2, 3\n3, 2\n{edge}\n1, x\n")
+    with pytest.raises(FormatError) as exc:
+        load_tu_dataset(d, "TOY")
+    assert str(exc.value).endswith("TOY_A.txt:5: node id out of range")
+
+
 def test_load_tu_undecodable_file(tmp_path):
     d = write_fixture(tmp_path)
     (tmp_path / "TOY" / "TOY_graph_labels.txt").write_bytes(b"1\n\xff\xfe\n")
