@@ -322,7 +322,9 @@ class Tape:
     """Topologically ordered schedule of the op nodes reachable from a root.
 
     Execution order equals recording order, so ``reversed(tape.nodes)`` is a
-    valid backward schedule that visits every node exactly once.
+    valid backward schedule that visits every node exactly once.  An op
+    node that an earlier backward consumed makes the walk raise
+    ``TapeError``: its schedule cannot be run again.
     """
 
     def __init__(self, root: Tensor):
@@ -336,6 +338,8 @@ class Tape:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents and node._consumed:
+                raise TapeError("backward: stale tape (graph segment already consumed)")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -348,27 +352,23 @@ def backward(loss: Tensor):
     """Propagate d(loss)/d(leaf) into every requires-grad leaf.
 
     The graph below ``loss`` is consumed: invoking backward a second time
-    through any of its op nodes raises ``TapeError``.
+    through any of its op nodes raises ``TapeError``, before any node is
+    marked.  The nodes are walked twice: once to schedule them (and find a
+    consumed one), once to mark each and run its VJP.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward: loss must be a Tensor")
     if loss.data.ndim != 0:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-
-    tape = Tape(loss)
     if loss._consumed:
         raise TapeError("backward: already invoked on this loss")
-    for node in tape.nodes:
-        if node._parents and node._consumed:
-            raise TapeError("backward: stale tape (graph segment already consumed)")
 
+    tape = Tape(loss)
     loss._consumed = True
-    for node in tape.nodes:
-        if node._parents:
-            node._consumed = True
-
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
+        if node._parents:
+            node._consumed = True
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
 

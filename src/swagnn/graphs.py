@@ -10,6 +10,7 @@ import math
 import os
 import weakref
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -171,14 +172,57 @@ def _diffusion_sum(g: Graph, cfg: DiffusionConfig) -> np.ndarray:
 # TU text format
 # ---------------------------------------------------------------------------
 
-def _read_lines(path: str) -> list:
-    """(1-based line number, stripped text) for every non-blank line."""
+def _read_entries(path: str) -> tuple:
+    """The stripped non-blank lines of a text file, read once, and every
+    stripped line (to number the lines when a check fails)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [(lineno, text) for lineno, line in enumerate(fh, start=1)
-                    if (text := line.strip())]
+            lines = list(map(str.strip, fh.readlines()))
     except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
+    return list(filter(None, lines)), lines
+
+
+def _fail(path: str, lines: list, entry: int, message: str):
+    """Raise a FormatError naming the line of the ``entry``-th non-blank line."""
+    lineno = [i for i, text in enumerate(lines, start=1) if text][entry]
+    raise FormatError(f"{path}:{lineno}: {message}")
+
+
+def _converted(kind, tokens: list) -> list:
+    """``kind`` (``int`` or ``float``) of each token, stopping at the first
+    that raises ValueError: a shorter result ends just before that token
+    (``list.extend`` keeps what it appended before the exception)."""
+    values = []
+    try:
+        values.extend(map(kind, tokens))
+    except ValueError:
+        pass
+    return values
+
+
+def _parsed_rows(entries: list, kind, width: int) -> tuple:
+    """Each entry split at its commas into ``width`` values of ``kind``:
+    the values of the leading entries that parse, as one flat list, and
+    the number of those entries.  The entry after them has another width
+    or a token that does not parse."""
+    if set(map(str.count, entries, repeat(","))) <= {width - 1}:
+        shaped = len(entries)
+    else:
+        shaped = next(k for k, text in enumerate(entries) if text.count(",") != width - 1)
+    values = _converted(kind, ",".join(entries[:shaped]).split(","))
+    return values, len(values) // width
+
+
+def _first_bad_graph_id(ids: list) -> int:
+    """The index of the first graph id that neither repeats the one before
+    nor adds one to it (the first must be 1), or ``len(ids)``."""
+    if ids and 1 <= min(ids) and max(ids) <= len(ids):  # only then int64 holds them
+        steps = np.diff(np.array(ids), prepend=0)
+        bad = np.flatnonzero((steps != 0) & (steps != 1))
+        return int(bad[0]) if bad.size else len(ids)
+    return next((k for k, value in enumerate(ids)
+                 if value not in ((ids[k - 1], ids[k - 1] + 1) if k else (1,))), len(ids))
 
 
 def _read_ints(path: str, graph_ids: bool = False) -> list:
@@ -186,22 +230,73 @@ def _read_ints(path: str, graph_ids: bool = False) -> list:
     indicator) the values must number the graphs 1..N in order: the first
     is 1 and each next one repeats the one before or adds one, or a
     FormatError names the line."""
-    values = []
-    for lineno, line in _read_lines(path):
-        try:
-            value = int(line)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: expected an integer, got {line!r}") from None
-        if graph_ids and value not in ((values[-1], values[-1] + 1) if values else (1,)):
-            if values and value < values[-1]:
-                raise FormatError(f"{path}:{lineno}: graph id decreases from {values[-1]} to "
-                                  f"{value}; each graph's nodes must be listed together, "
-                                  "in graph order")
-            where = f"after {values[-1]}" if values else "on the first line"
-            raise FormatError(f"{path}:{lineno}: graph id {value} {where}; graphs are "
-                              "numbered 1, 2, ... with none skipped")
-        values.append(value)
+    entries, lines = _read_entries(path)
+    values = _converted(int, entries)
+    if graph_ids and (k := _first_bad_graph_id(values)) < len(values):
+        if k and values[k] < values[k - 1]:
+            _fail(path, lines, k, f"graph id decreases from {values[k - 1]} to {values[k]}; "
+                  "each graph's nodes must be listed together, in graph order")
+        where = f"after {values[k - 1]}" if k else "on the first line"
+        _fail(path, lines, k, f"graph id {values[k]} {where}; graphs are numbered 1, 2, ... "
+              "with none skipped")
+    if len(values) < len(entries):
+        _fail(path, lines, len(values), f"expected an integer, got {entries[len(values)]!r}")
     return values
+
+
+def _read_edges(path: str, node_graph: np.ndarray) -> np.ndarray:
+    """The edge list as 0-based node pairs, one row per non-blank line.
+    The first line that does not parse as ``u, v``, names a node outside
+    1..N or joins two graphs is a FormatError."""
+    entries, lines = _read_entries(path)
+    num_nodes = len(node_graph)
+    values, parsed = _parsed_rows(entries, int, 2)
+    failures = []
+    if parsed < len(entries):
+        failures.append((parsed, f"expected 'u, v', got {entries[parsed]!r}"))
+    try:
+        ends = np.array(values[:2 * parsed], dtype=np.int64).reshape(parsed, 2)
+    except OverflowError:  # beyond int64, so out of range
+        ends = None
+    if ends is None or (parsed and (ends.min() < 1 or ends.max() > num_nodes)):
+        # the lines before the first node id out of range are still checked
+        parsed = next(k for k in range(parsed)
+                      if not all(1 <= x <= num_nodes for x in values[2 * k:2 * k + 2]))
+        failures.append((parsed, "node id out of range"))
+        ends = np.array(values[:2 * parsed], dtype=np.int64).reshape(parsed, 2)
+    ends -= 1
+    across = np.flatnonzero(node_graph[ends[:, 0]] != node_graph[ends[:, 1]])
+    if across.size:
+        failures.append((int(across[0]), "edge endpoint outside its graph"))
+    if failures:
+        _fail(path, lines, *min(failures))
+    return ends
+
+
+def _read_attributes(path: str) -> np.ndarray:
+    """One row of comma-separated floats per non-blank line, all of the
+    first row's width and finite, or a FormatError names the line."""
+    entries, lines = _read_entries(path)
+    width = entries[0].count(",") + 1 if entries else 1
+    values, parsed = _parsed_rows(entries, float, width)
+    rows = np.array(values[:parsed * width]).reshape(parsed, width)
+    failures = []
+    if parsed < len(entries):
+        text = entries[parsed]
+        row = _converted(float, text.split(","))
+        if len(row) < text.count(",") + 1:
+            failures.append((parsed, f"expected float values, got {text!r}"))
+        elif not all(map(math.isfinite, row)):
+            failures.append((parsed, f"non-finite value in {text!r}"))
+        else:
+            failures.append((parsed, f"expected {width} values, got {text!r}"))
+    nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if nonfinite.size:
+        k = int(nonfinite[0])
+        failures.append((k, f"non-finite value in {entries[k]!r}"))
+    if failures:
+        _fail(path, lines, *min(failures))
+    return rows
 
 
 def load_tu_dataset(directory: str, name: str) -> Dataset:
@@ -215,9 +310,17 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     ``<name>_node_labels.txt`` entries are one-hot encoded and optional
     ``<name>_node_attributes.txt`` rows are taken verbatim; when both
     exist they are concatenated with the one-hot block first.  Without
-    either, node degree is used as the single feature.  A token that does
-    not parse, or a non-finite attribute, raises ``FormatError`` naming
-    the file and line.
+    either, node degree is used as the single feature.  Self-loop lines
+    are dropped, and an edge listed once, in one direction, or several
+    times is one undirected edge.  Graph labels are remapped to 0..C-1 in
+    sorted order.
+
+    Each file is read once and parsed as a whole, with Python's ``int``
+    and ``float`` on every token and the checks run over arrays, so the
+    cost is linear in the size of the files.  A token that does not
+    parse, a node id out of range, an edge across two graphs or a
+    non-finite attribute raises ``FormatError`` naming the file and its
+    first failing line; the line is numbered only then.
     """
     paths = {key: os.path.join(directory, f"{name}_{key}.txt")
              for key in ("A", "graph_indicator", "graph_labels",
@@ -231,27 +334,23 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
         raise LoadError(f"{paths['graph_indicator']} contains no node entries")
     num_nodes = len(indicator)
 
-    # global 1-based node id -> (graph position, local 0-based node index)
-    node_graph = np.asarray(indicator, dtype=np.int64) - 1
+    # global 0-based node id -> (graph position, local 0-based node index)
+    node_graph = np.array(indicator, dtype=np.int64) - 1
     sizes = np.bincount(node_graph)
-    node_local = np.arange(num_nodes) - (np.cumsum(sizes) - sizes)[node_graph]
+    starts = np.cumsum(sizes) - sizes
+    node_local = np.arange(num_nodes) - starts[node_graph]
 
-    adjacencies = [np.zeros((n, n)) for n in sizes]
-    for lineno, line in _read_lines(paths["A"]):
-        try:
-            u, v = line.split(",")
-            u, v = int(u), int(v)
-        except ValueError:
-            raise FormatError(f"{paths['A']}:{lineno}: expected 'u, v', got {line!r}") from None
-        if not (1 <= u <= num_nodes and 1 <= v <= num_nodes):
-            raise FormatError(f"{paths['A']}:{lineno}: node id out of range")
-        if node_graph[u - 1] != node_graph[v - 1]:
-            raise FormatError(f"{paths['A']}:{lineno}: edge endpoint outside its graph")
-        if u == v:
-            continue  # self-loops are dropped
-        a = adjacencies[node_graph[u - 1]]
-        a[node_local[u - 1], node_local[v - 1]] = 1.0
-        a[node_local[v - 1], node_local[u - 1]] = 1.0
+    # every adjacency is a view into one buffer, filled by one scatter
+    ends = _read_edges(paths["A"], node_graph)
+    ends = ends[ends[:, 0] != ends[:, 1]]  # self-loops are dropped
+    squares = sizes * sizes
+    graph = node_graph[ends[:, 0]]
+    corner, side = (np.cumsum(squares) - squares)[graph], sizes[graph]
+    u, v = node_local[ends[:, 0]], node_local[ends[:, 1]]
+    buffer = np.zeros(int(squares.sum()))
+    buffer[np.concatenate([corner + u * side + v, corner + v * side + u])] = 1.0
+    adjacencies = [square.reshape(n, n) for square, n in
+                   zip(np.split(buffer, np.cumsum(squares)[:-1]), sizes.tolist())]
 
     raw_labels = _read_ints(paths["graph_labels"])
     if len(raw_labels) != len(sizes):
@@ -259,51 +358,35 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
                           f"for {len(sizes)} graphs")
     classes = sorted(set(raw_labels))
     remap = {c: i for i, c in enumerate(classes)}
-    labels = [remap[c] for c in raw_labels]
+    labels = list(map(remap.__getitem__, raw_labels))
 
-    features = _node_features(paths, indicator, adjacencies, node_graph, node_local)
+    features = _node_features(paths, num_nodes, adjacencies, starts)
 
-    graphs = [Graph(adjacencies[i].shape[0], adjacencies[i], features[i],
-                    labels[i]).validate()
-              for i in range(len(sizes))]
+    graphs = [Graph(a.shape[0], a, x, label).validate()
+              for a, x, label in zip(adjacencies, features, labels)]
     return Dataset(graphs, len(classes), graphs[0].feature_dim, name)
 
 
-def _node_features(paths, indicator, adjacencies, node_graph, node_local):
+def _node_features(paths, num_nodes, adjacencies, starts):
     blocks = []
     if os.path.isfile(paths["node_labels"]):
         values = _read_ints(paths["node_labels"])
-        if len(values) != len(indicator):
+        if len(values) != num_nodes:
             raise FormatError(f"{paths['node_labels']}: one entry per node required")
         categories = sorted(set(values))
         cat_pos = {c: i for i, c in enumerate(categories)}
-        onehot = np.zeros((len(values), len(categories)))
-        for node, value in enumerate(values):
-            onehot[node, cat_pos[value]] = 1.0
+        onehot = np.zeros((num_nodes, len(categories)))
+        onehot[np.arange(num_nodes), list(map(cat_pos.__getitem__, values))] = 1.0
         blocks.append(onehot)
     if os.path.isfile(paths["node_attributes"]):
-        path = paths["node_attributes"]
-        rows = []
-        for lineno, line in _read_lines(path):
-            try:
-                row = [float(x) for x in line.split(",")]
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: expected float values, got {line!r}") from None
-            if not all(map(math.isfinite, row)):
-                raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
-            if rows and len(row) != len(rows[0]):
-                raise FormatError(f"{path}:{lineno}: expected {len(rows[0])} values, got {line!r}")
-            rows.append(row)
-        if len(rows) != len(indicator):
+        rows = _read_attributes(paths["node_attributes"])
+        if len(rows) != num_nodes:
             raise FormatError(f"{paths['node_attributes']}: one row per node required")
-        blocks.append(np.array(rows))
+        blocks.append(rows)
 
     if blocks:
-        full = np.concatenate(blocks, axis=1)
-        per_graph = [np.zeros((a.shape[0], full.shape[1])) for a in adjacencies]
-        for node in range(len(indicator)):
-            per_graph[node_graph[node]][node_local[node]] = full[node]
-        return per_graph
+        # each graph's nodes are listed together, so its rows are one slice
+        return np.split(np.concatenate(blocks, axis=1), starts[1:])
     return [a.sum(axis=1, keepdims=True) for a in adjacencies]
 
 

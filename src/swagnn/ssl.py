@@ -147,7 +147,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     Values and gradients are those of the composed chain (``log_softmax``,
     a one-hot ``multiply``, a row ``sum``, ``mean`` and ``scale`` by -1),
     bit for bit; the log-softmax values come from the helper behind
-    ``ad.log_softmax``.
+    ``ad.log_softmax``.  A label that is not an integer in [0, C), for C
+    columns of ``logits``, is a ContractError naming its row.
     """
     logits = ad._as_tensor(logits)
     if logits.data.ndim != 2:
@@ -158,6 +159,13 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.shape != (count,):
         raise ContractError(f"softmax_cross_entropy: {count} rows of logits but labels of "
                             f"shape {labels.shape}")
+    classes = logits.data.shape[1]
+    if count and (labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= classes):
+        values = labels.tolist()
+        row = next((r for r, x in enumerate(values)
+                    if type(x) is not int or not 0 <= x < classes), 0)
+        raise ContractError(f"softmax_cross_entropy: row {row}: label {values[row]!r} is not "
+                            f"an integer class index in [0, {classes})")
     rows = np.arange(count)
     logp, probs = ad._log_softmax_rows(logits.data)
 

@@ -80,6 +80,20 @@ def test_backward_on_stale_interior_node_raises():
         ad.backward(y)
 
 
+def test_backward_through_a_stale_segment_marks_nothing():
+    x = ad.parameter(np.array(2.0))
+    y = x * x
+    ad.backward(y * x)
+    fresh = x + x
+    loss = fresh * y
+    with pytest.raises(TapeError):
+        ad.backward(loss)
+    assert not fresh._consumed and not loss._consumed and x.grad == 12.0
+    # the fresh segment is still usable on its own
+    ad.backward(fresh * x)
+    assert x.grad == 12.0 + 8.0
+
+
 def test_gradients_accumulate_across_backwards_on_fresh_graphs():
     x = ad.parameter(np.array(3.0))
     ad.backward(x * x)

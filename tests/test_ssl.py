@@ -341,6 +341,22 @@ def test_a_probe_loss_records_two_tape_nodes():
     assert sum(1 for node in ad.Tape(loss).nodes if node._parents) <= 2
 
 
+@pytest.mark.parametrize("labels, row, value", [
+    ([0, -1, 1], 1, "-1"),
+    ([0, 1, 3], 2, "3"),
+    ([2, 1, 3], 2, "3"),
+    ([0.5, 1, 0], 0, "0.5"),
+    (np.array([1, 0, 2], dtype=float), 0, "1.0"),
+])
+def test_softmax_cross_entropy_rejects_labels_that_are_not_class_indices(labels, row, value):
+    # a label of -1 used to score the last class, and 3 of 3 classes ended
+    # in a bare IndexError
+    logits = ad.parameter(np.random.default_rng(24).standard_normal((3, 3)))
+    with pytest.raises(ContractError) as exc:
+        softmax_cross_entropy(logits, labels)
+    assert f"row {row}: label {value} is not an integer class index in [0, 3)" in str(exc.value)
+
+
 def test_fused_head_and_loss_reject_bad_shapes():
     rng = np.random.default_rng(23)
     head = TwoLayerMLP.init(4, 5, 3, rng)
