@@ -160,7 +160,9 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ContractError(f"softmax_cross_entropy: {count} rows of logits but labels of "
                             f"shape {labels.shape}")
     classes = logits.data.shape[1]
-    if count and (labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= classes):
+    # read as unsigned, a negative label is huge: one reduction checks both bounds
+    if count and (labels.dtype.kind not in "iu"
+                  or labels.view(f"u{labels.itemsize}").max() >= classes):
         values = labels.tolist()
         row = next((r for r, x in enumerate(values)
                     if type(x) is not int or not 0 <= x < classes), 0)
