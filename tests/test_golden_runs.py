@@ -92,8 +92,9 @@ def write_tu_set(directory: str, name: str, attributes: bool, seed: int = 0,
     offset = 0
     for gi in range(1, graphs + 1):
         n, positive = int(rng.integers(10, 29)), gi % 3 != 0
-        bonds = [(v, (v + 1) % 6) for v in range(6)] + [(4, 6), (6, 7), (7, 8), (8, 9), (9, 3)]
-        bonds = bonds if positive else []
+        # rings 0..5 and 3, 4, 6, 7, 8, 9 share the bond 3-4
+        bonds = ([(v, (v + 1) % 6) for v in range(6)] + [(4, 6), (6, 7), (7, 8), (8, 9), (9, 3)]
+                 if positive else [])
         for v in range(10 if positive else 1, n):
             bonds.append((int(rng.integers(0, v)), v))
         for u, v in bonds:
