@@ -10,7 +10,7 @@ import math
 import os
 import weakref
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -177,7 +177,7 @@ def _read_entries(path: str) -> tuple:
     stripped line (to number the lines when a check fails)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = list(map(str.strip, fh.readlines()))
+            lines = list(map(str.strip, fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     return list(filter(None, lines)), lines
@@ -189,7 +189,7 @@ def _fail(path: str, lines: list, entry: int, message: str):
     raise FormatError(f"{path}:{lineno}: {message}")
 
 
-def _converted(kind, tokens: list) -> list:
+def _converted(kind, tokens) -> list:
     """``kind`` (``int`` or ``float``) of each token, stopping at the first
     that raises ValueError: a shorter result ends just before that token
     (``list.extend`` keeps what it appended before the exception)."""
@@ -201,17 +201,38 @@ def _converted(kind, tokens: list) -> list:
     return values
 
 
+# entries converted at a time: few Python strings and numbers live at once,
+# so loading peaks at about the memory the per-line loader needed
+_CHUNK = 1024
+
+
 def _parsed_rows(entries: list, kind, width: int) -> tuple:
-    """Each entry split at its commas into ``width`` values of ``kind``:
-    the values of the leading entries that parse, as one flat list, and
-    the number of those entries.  The entry after them has another width
-    or a token that does not parse."""
+    """Each entry split at its commas into ``width`` values of ``kind``
+    (``int`` or ``float``): an int64 or float64 array of the rows of the
+    leading entries that parse, the number of those rows, and whether the
+    entry after them holds an integer beyond int64.  Otherwise that entry
+    has another width or a token that does not parse."""
     if set(map(str.count, entries, repeat(","))) <= {width - 1}:
         shaped = len(entries)
     else:
         shaped = next(k for k, text in enumerate(entries) if text.count(",") != width - 1)
-    values = _converted(kind, ",".join(entries[:shaped]).split(","))
-    return values, len(values) // width
+    dtype = np.int64 if kind is int else np.float64
+    blocks, parsed, beyond = [np.empty(0, dtype)], 0, False
+    for start in range(0, shaped, _CHUNK):
+        stop = min(start + _CHUNK, shaped)
+        values = _converted(kind, ",".join(entries[start:stop]).split(","))
+        rows = len(values) // width
+        try:
+            blocks.append(np.array(values[:rows * width], dtype=dtype))
+        except OverflowError:
+            rows = next(k for k in range(rows)
+                        if not all(-2**63 <= x < 2**63 for x in values[k * width:(k + 1) * width]))
+            blocks.append(np.array(values[:rows * width], dtype=dtype))
+            beyond = True
+        parsed += rows
+        if beyond or start + rows < stop:
+            break
+    return np.concatenate(blocks).reshape(parsed, width), parsed, beyond
 
 
 def _first_bad_graph_id(ids: list) -> int:
@@ -249,21 +270,16 @@ def _read_edges(path: str, node_graph: np.ndarray) -> np.ndarray:
     The first line that does not parse as ``u, v``, names a node outside
     1..N or joins two graphs is a FormatError."""
     entries, lines = _read_entries(path)
-    num_nodes = len(node_graph)
-    values, parsed = _parsed_rows(entries, int, 2)
+    ends, parsed, beyond = _parsed_rows(entries, int, 2)
     failures = []
     if parsed < len(entries):
-        failures.append((parsed, f"expected 'u, v', got {entries[parsed]!r}"))
-    try:
-        ends = np.array(values[:2 * parsed], dtype=np.int64).reshape(parsed, 2)
-    except OverflowError:  # beyond int64, so out of range
-        ends = None
-    if ends is None or (parsed and (ends.min() < 1 or ends.max() > num_nodes)):
+        failures.append((parsed, "node id out of range" if beyond
+                         else f"expected 'u, v', got {entries[parsed]!r}"))
+    outside = np.flatnonzero(((ends < 1) | (ends > len(node_graph))).any(axis=1))
+    if outside.size:
         # the lines before the first node id out of range are still checked
-        parsed = next(k for k in range(parsed)
-                      if not all(1 <= x <= num_nodes for x in values[2 * k:2 * k + 2]))
-        failures.append((parsed, "node id out of range"))
-        ends = np.array(values[:2 * parsed], dtype=np.int64).reshape(parsed, 2)
+        failures.append((int(outside[0]), "node id out of range"))
+        ends = ends[:outside[0]]
     ends -= 1
     across = np.flatnonzero(node_graph[ends[:, 0]] != node_graph[ends[:, 1]])
     if across.size:
@@ -278,8 +294,7 @@ def _read_attributes(path: str) -> np.ndarray:
     first row's width and finite, or a FormatError names the line."""
     entries, lines = _read_entries(path)
     width = entries[0].count(",") + 1 if entries else 1
-    values, parsed = _parsed_rows(entries, float, width)
-    rows = np.array(values[:parsed * width]).reshape(parsed, width)
+    rows, parsed, _ = _parsed_rows(entries, float, width)
     failures = []
     if parsed < len(entries):
         text = entries[parsed]
@@ -340,15 +355,14 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     starts = np.cumsum(sizes) - sizes
     node_local = np.arange(num_nodes) - starts[node_graph]
 
-    # every adjacency is a view into one buffer, filled by one scatter
-    ends = _read_edges(paths["A"], node_graph)
-    ends = ends[ends[:, 0] != ends[:, 1]]  # self-loops are dropped
+    # every adjacency is a view into one buffer, filled by one scatter;
+    # node i's row starts at rows[i], and its column is node_local[i]
+    u, v = _read_edges(paths["A"], node_graph).T
     squares = sizes * sizes
-    graph = node_graph[ends[:, 0]]
-    corner, side = (np.cumsum(squares) - squares)[graph], sizes[graph]
-    u, v = node_local[ends[:, 0]], node_local[ends[:, 1]]
+    rows = (np.cumsum(squares) - squares)[node_graph] + node_local * sizes[node_graph]
     buffer = np.zeros(int(squares.sum()))
-    buffer[np.concatenate([corner + u * side + v, corner + v * side + u])] = 1.0
+    buffer[np.concatenate([rows[u] + node_local[v], rows[v] + node_local[u]])] = 1.0
+    buffer[rows + node_local] = 0.0  # self-loops are dropped
     adjacencies = [square.reshape(n, n) for square, n in
                    zip(np.split(buffer, np.cumsum(squares)[:-1]), sizes.tolist())]
 

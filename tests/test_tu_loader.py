@@ -209,6 +209,30 @@ def test_bench_sets_load_as_the_oracle_does(tmp_path, bench_inputs, data, seed):
     assert isinstance(assert_same_outcome(str(tmp_path), data), Dataset)
 
 
+@pytest.mark.parametrize("filename, line, text", [
+    ("MUTAG_A.txt", 5000, "7, x"),
+    ("MUTAG_A.txt", 5000, "7, 8, 9"),
+    ("MUTAG_A.txt", 5000, "7, 100000000000000000000"),
+    ("MUTAG_A.txt", 2500, "100000000000000000000, 1"),
+    ("MUTAG_A.txt", 5000, "0, 1"),
+    ("MUTAG_A.txt", 5000, "1, 3000"),
+    ("MUTAG_A.txt", 1023, "1"),
+    ("MUTAG_A.txt", 1025, " "),
+    ("MUTAG_node_attributes.txt", 3000, "nan, 1.0, 2.0"),
+    ("MUTAG_node_attributes.txt", 2049, "1.0, 2.0"),
+    ("MUTAG_node_attributes.txt", 3000, "1.0, x, 2.0"),
+])
+def test_a_fault_deep_in_a_long_file_is_found_as_the_oracle_finds_it(
+        tmp_path, bench_inputs, filename, line, text):
+    bench_inputs.write_tu(bench_inputs.mutag_like(0), str(tmp_path), "MUTAG")
+    _write_attributes(str(tmp_path), "MUTAG", 0)
+    path = tmp_path / filename
+    lines = path.read_text().split("\n")
+    lines[line - 1] = text
+    path.write_text("\n".join(lines))
+    assert_same_outcome(str(tmp_path), "MUTAG")
+
+
 FIXTURES = [
     # the valid fixtures of test_graphs.py
     {},
