@@ -9,13 +9,12 @@ fresh Bernoulli samples.  Node features always carry over verbatim.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericalError
-from .graphs import Graph
+from .graphs import Graph, cached
 
 _SYMMETRY_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
@@ -430,14 +429,14 @@ def edge_drop_baseline(g: Graph, rate: float, seed) -> Graph:
 class LgaAugmenter:
     """Draws positives from a cached spectral estimate of each anchor.
 
-    The estimate is computed once per graph (the eigendecomposition
-    dominates), while every (graph index, epoch) pair gets an independent
+    The estimate is computed once per graph and τ (the eigendecomposition
+    dominates) and kept on the graph, shared by every augmenter with that
+    τ, while every (graph index, epoch) pair gets an independent
     reproducible sampling stream.  An estimate that is zero everywhere
     (every rank-0 one is) can only draw the edgeless graph, so that
-    positive is built once with the anchor's features and label and
-    returned for every (index, epoch), skipping the stream.  A returned
-    positive may thus be shared between calls: treat it as read-only (the
-    shared adjacency is a read-only array).
+    positive is built once with the anchor's features and label, kept in
+    place of the estimate and returned for every (index, epoch) with a
+    read-only adjacency: treat a returned positive as read-only.
     """
 
     def __init__(self, tau: float, seed: int = 0):
@@ -445,19 +444,17 @@ class LgaAugmenter:
             raise ConfigError(f"LgaAugmenter: tau must be positive, got {tau}")
         self.tau = tau
         self.seed = seed
-        self._cache = weakref.WeakKeyDictionary()
 
     def _estimate(self, g: Graph):
-        """(theta, kept rank, the edgeless positive or None) of ``g``."""
-        cached = self._cache.get(g)
-        if cached is None:
+        """(theta or None, kept rank, the edgeless positive or None) of ``g``."""
+        def compute():
             theta, rank = usvt_with_rank(g.adjacency, self.tau)
-            empty = None
-            if not theta.any():
-                empty = Graph(g.n, np.zeros((g.n, g.n)), g.features, g.label)
-                empty.adjacency.flags.writeable = False  # shared by every epoch
-            cached = self._cache[g] = (theta, rank, empty)
-        return cached
+            if theta.any():
+                return theta, rank, None
+            empty = Graph(g.n, np.zeros((g.n, g.n)), g.features, g.label)
+            empty.adjacency.flags.writeable = False  # shared by every epoch
+            return None, rank, empty
+        return cached(g, ("lga", self.tau), compute)
 
     def kept_rank(self, g: Graph) -> int:
         return self._estimate(g)[1]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import os
-import weakref
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Optional
@@ -31,6 +30,7 @@ class Graph:
     adjacency: np.ndarray
     features: np.ndarray
     label: Optional[int] = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def validate(self) -> "Graph":
         if self.n <= 0:
@@ -130,21 +130,19 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return g.adjacency * np.outer(inv_sqrt, inv_sqrt)
 
 
-_GRAPH_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def cached(g: Graph, key, compute):
     """``compute()`` once per (graph, key): later calls return the stored
-    array, shared between callers and read-only (a write raises ValueError).
+    value, shared between callers.  The value is an array or a tuple, and
+    every array in it is made read-only (a write raises ValueError).
     Entries are values that depend on the graph alone (its adjacency and
-    features, which must not change afterwards) and die with the graph."""
-    per_graph = _GRAPH_CACHE.get(g)
-    if per_graph is None:
-        per_graph = _GRAPH_CACHE[g] = {}
-    value = per_graph.get(key)
+    features, which must not change afterwards); they are kept on the
+    graph and die with it."""
+    value = g._derived.get(key)
     if value is None:
-        value = per_graph[key] = compute()
-        value.flags.writeable = False
+        value = g._derived[key] = compute()
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.flags.writeable = False
     return value
 
 
@@ -376,7 +374,7 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
 
     features = _node_features(paths, num_nodes, adjacencies, starts)
 
-    graphs = [Graph(a.shape[0], a, x, label).validate()
+    graphs = [Graph(a.shape[0], a, x, label)
               for a, x, label in zip(adjacencies, features, labels)]
     return Dataset(graphs, len(classes), graphs[0].feature_dim, name)
 

@@ -259,9 +259,10 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.
     rights = [np.empty((rows, M * m)) for _ in range(P)]
     out = np.empty((len(graphs), M * P))
     for gi, g in enumerate(graphs):
-        if g.feature_dim != len(weight):
-            raise ContractError(f"encode_batch: the feature map expects {len(weight)} input "
-                                f"features, got {g.feature_dim}")
+        if g.adjacency.shape != (g.n, g.n) or g.features.shape != (g.n, len(weight)):
+            raise ContractError(f"encode_batch: graph {gi} of the batch has adjacency shape "
+                                f"{g.adjacency.shape} and features shape {g.features.shape}, "
+                                f"expected ({g.n}, {g.n}) and ({g.n}, {len(weight)})")
         b = diffuse(g, cfg.diffusion)
         xm = g.features @ weight + bias
         left = np.matmul(b, xm @ feats.T, out=lefts[0][:g.n])

@@ -148,7 +148,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     a one-hot ``multiply``, a row ``sum``, ``mean`` and ``scale`` by -1),
     bit for bit; the log-softmax values come from the helper behind
     ``ad.log_softmax``.  A label that is not an integer in [0, C), for C
-    columns of ``logits``, is a ContractError naming its row.
+    columns of ``logits``, is a ContractError naming its row, and so are
+    logits with no rows.
     """
     logits = ad._as_tensor(logits)
     if logits.data.ndim != 2:
@@ -159,10 +160,11 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.shape != (count,):
         raise ContractError(f"softmax_cross_entropy: {count} rows of logits but labels of "
                             f"shape {labels.shape}")
+    if count == 0:
+        raise ContractError("softmax_cross_entropy: no rows of logits")
     classes = logits.data.shape[1]
     # read as unsigned, a negative label is huge: one reduction checks both bounds
-    if count and (labels.dtype.kind not in "iu"
-                  or labels.view(f"u{labels.itemsize}").max() >= classes):
+    if labels.dtype.kind not in "iu" or labels.view(f"u{labels.itemsize}").max() >= classes:
         values = labels.tolist()
         row = next((r for r, x in enumerate(values)
                     if type(x) is not int or not 0 <= x < classes), 0)

@@ -1,4 +1,3 @@
-import gc
 import math
 import os
 import weakref
@@ -638,10 +637,11 @@ def test_lga_rank0_positive_is_built_once_and_shared():
 def test_lga_rank0_positive_dies_with_its_anchor():
     aug = LgaAugmenter(tau=2.02)
     g = Graph(5, cycle(5), np.ones((5, 1)))
-    positive = weakref.ref(aug.augment(g, 0, 0))
-    del g
-    gc.collect()
-    assert positive() is None and len(aug._cache) == 0
+    anchor, positive = weakref.ref(g), weakref.ref(aug.augment(g, 0, 0))
+    assert g._derived[("lga", 2.02)][2] is positive()
+    del g  # no gc.collect(): reference counting alone frees the entry
+    assert anchor() is None and positive() is None
+    assert vars(aug) == {"tau": 2.02, "seed": 0}  # the augmenter keeps nothing per graph
 
 
 def test_lga_augmenter_index_separates_streams():

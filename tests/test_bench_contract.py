@@ -2,12 +2,17 @@
 tracer skips a traced name the library no longer has, and that layer's
 metrics then read 0; these tests fail instead.  Its encoder oracle reads
 ``SwagParams.to_state()`` by key, and a renamed key would show only as
-failed checks in a benchmark run; a test here fails instead."""
+failed checks in a benchmark run; a test here fails instead.  Its
+self-test drives the augmenter, the SSL batch and the encoder through the
+library, so a library change that breaks one of its checks fails here
+too."""
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,3 +101,10 @@ def test_to_state_has_every_key_the_bench_oracle_reads():
     checks = bench_module("checks")
     assert checks.check_encoder_oracle(graphs, encode_numpy(graphs, params, cfg), state,
                                        cfg) is None
+
+
+def test_bench_selftest_passes():
+    # -B: the self-test only reads files, and writes no bytecode under bench/
+    run = subprocess.run([sys.executable, "-B", str(BENCH / "selftest.py")],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and "\n0 failure(s)\n" in run.stdout, run.stdout + run.stderr

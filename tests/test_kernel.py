@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import time
 import tracemalloc
 import weakref
@@ -10,8 +9,8 @@ import pytest
 from swagnn import autodiff as ad
 from swagnn.autodiff import _accumulate, _as_tensor, _node
 from swagnn.errors import ConfigError, ContractError
-from swagnn import graphs as graphs_module
-from swagnn.graphs import DiffusionConfig, Graph, diffuse
+from swagnn.augment import LgaAugmenter
+from swagnn.graphs import Dataset, DiffusionConfig, Graph, diffuse
 from swagnn.kernel import (
     HiddenGraph,
     KernelConfig,
@@ -24,6 +23,7 @@ from swagnn.kernel import (
     smoothed_kernel,
     swag_encode,
 )
+from swagnn.training import TrainConfig, train_supervised
 from test_autodiff import check_grads
 
 
@@ -557,16 +557,15 @@ def test_graph_cache_entries_die_with_their_graph():
     rng = np.random.default_rng(7)
     cfg = KernelConfig(num_hidden=2, hidden_nodes=3, hidden_dim=2, max_walk=2)
     g = random_graph(rng, 6)
-    gc.collect()  # only this test's graph may leave the cache below
-    before = len(graphs_module._GRAPH_CACHE)
-    diffusion = weakref.ref(diffuse(g, cfg.diffusion))
+    diffuse(g, cfg.diffusion)
     _walk_statistics([g], cfg)
-    walks = weakref.ref(graphs_module._GRAPH_CACHE[g][("walks", cfg.diffusion, 2)])
-    assert len(graphs_module._GRAPH_CACHE) == before + 1
-    del g
-    gc.collect()
-    assert diffusion() is None and walks() is None
-    assert len(graphs_module._GRAPH_CACHE) == before
+    LgaAugmenter(0.1).kept_rank(g)
+    walks, lga = ("walks", cfg.diffusion, 2), ("lga", 0.1)
+    assert set(g._derived) == {cfg.diffusion, walks, lga}
+    arrays = [weakref.ref(a) for a in (g._derived[cfg.diffusion], g._derived[walks],
+                                       g._derived[lga][0])]
+    del g  # no gc.collect(): reference counting alone frees the entries
+    assert all(a() is None for a in arrays)
 
 
 def test_graph_cache_entries_are_read_only():
@@ -576,8 +575,10 @@ def test_graph_cache_entries_are_read_only():
     params = SwagParams.init(cfg, g.feature_dim, rng)
     before = encode_numpy([g], params, cfg)
     _walk_statistics([g], cfg)
-    walks = graphs_module._GRAPH_CACHE[g][("walks", cfg.diffusion, 2)]
-    for entry in (diffuse(g, cfg.diffusion), walks):
+    walks = g._derived[("walks", cfg.diffusion, 2)]
+    theta = LgaAugmenter(0.1)._estimate(g)[0]
+    empty = LgaAugmenter(100.0)._estimate(g)[2].adjacency
+    for entry in (diffuse(g, cfg.diffusion), walks, theta, empty):
         with pytest.raises(ValueError):
             entry *= 2
         with pytest.raises(ValueError):
@@ -617,6 +618,23 @@ def test_encode_batch_rejects_empty_batch_and_wrong_features():
         encode_batch([], params, cfg)
     with pytest.raises(ContractError):
         encode_numpy([random_graph(np.random.default_rng(0), 3, d=5)], params, cfg)
+    # arrays that disagree with n ended in a bare numpy ValueError from matmul
+    good = random_graph(np.random.default_rng(1), 3)
+    bad = [Graph(3, good.adjacency, np.ones((2, 2))), Graph(3, np.zeros((2, 2)), good.features)]
+    for g in bad:
+        for encode in (encode_batch, encode_numpy):
+            with pytest.raises(ContractError) as exc:
+                encode([good, g], params, cfg)
+            assert (f"graph 1 of the batch has adjacency shape {g.adjacency.shape} and "
+                    f"features shape {g.features.shape}, expected (3, 3) and (3, 2)"
+                    ) in str(exc.value)
+    ds = Dataset([random_graph(np.random.default_rng(i), 4) for i in range(6)] + bad[:1], 2, 2,
+                 "mismatched")
+    for i, g in enumerate(ds.graphs):
+        g.label = i % 2
+    with pytest.raises(ContractError, match="features shape \\(2, 2\\)"):
+        train_supervised(TrainConfig(dataset="mismatched", hidden_graphs=3, hidden_nodes=4,
+                                     hidden_dim=3, walk_len=3, epochs=1, folds=2), ds)
 
 
 def molecule_like(rng, n, d=7):

@@ -367,3 +367,7 @@ def test_fused_head_and_loss_reject_bad_shapes():
         softmax_cross_entropy(ad.constant(np.zeros((3, 2))), np.array([0, 1]))
     with pytest.raises(ContractError):
         softmax_cross_entropy(ad.constant(np.zeros(3)), np.array([0]))
+    # zero rows: labels [] ended in a bare IndexError, empty int64 labels in a NaN loss
+    for labels in ([], np.array([], dtype=np.int64)):
+        with pytest.raises(ContractError, match="no rows"):
+            softmax_cross_entropy(ad.constant(np.zeros((0, 2))), labels)

@@ -5,7 +5,7 @@ import pytest
 
 import swagnn.training
 from swagnn import autodiff as ad
-from swagnn import graphs as graphs_module
+from swagnn import augment as augment_module
 from swagnn.augment import IdentityAugmenter, LgaAugmenter
 from swagnn.errors import ConfigError, TrainingError
 from swagnn.graphs import Dataset, FoldSplit, Graph, degree_features
@@ -408,21 +408,35 @@ def run_bytes(pre, result):
 
 
 # LGA at tau = 2.02 shares every positive, at 0.5 draws every one, at 0.65 both
+KEPT_RANKS = {2.02: {0}, 0.5: {2, 3, 4}, 0.65: {0, 1, 2}}
+
+
 @pytest.mark.parametrize("augmenter, tau", [("edge-drop", 2.02), ("lga", 2.02), ("lga", 0.5),
                                             ("lga", 0.65)])
-def test_warm_graph_caches_give_the_bits_of_cold_ones(augmenter, tau):
+def test_warm_graph_caches_give_the_bits_of_cold_ones(augmenter, tau, monkeypatch):
     ds = molecule_dataset(5)
-    ranks = {LgaAugmenter(tau).kept_rank(g) for g in ds.graphs}
-    assert ranks == {2.02: {0}, 0.5: {2, 3, 4}, 0.65: {0, 1, 2}}[tau]
+    # an augmenter of its own warms every estimate; the runs' augmenters read it
+    assert {LgaAugmenter(tau, seed=7).kept_rank(g) for g in ds.graphs} == KEPT_RANKS[tau]
     cfg = small_cfg(mode="finetune", augmenter=augmenter, tau=tau, epochs=2, folds=3)
+    kernel = cfg.kernel_config()
     runs = []
-    for _ in range(2):  # the second run finds every anchor's diffusion and walks cached
-        pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=2)
-        result = adapt(pre, cfg, ds)
+    # cold graphs; then the warmed ones, whose second run finds every
+    # anchor's diffusion and walks cached too
+    for data in (molecule_dataset(5), ds, ds):
+        pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), data, epochs=2)
+        result = adapt(pre, cfg, data)
         runs.append((pre.loss_curves, result.loss_curves, result.val_curves,
                      result.fold_accuracies, run_bytes(pre, result)))
-        assert all(g in graphs_module._GRAPH_CACHE for g in ds.graphs)
-    assert runs[0] == runs[1]
+        assert all(kernel.diffusion in g._derived and
+                   ("walks", kernel.diffusion, kernel.max_walk) in g._derived for g in data.graphs)
+        # from here on every LGA estimate must come from the store
+        monkeypatch.setattr(augment_module, "usvt_with_rank", None)
+    assert runs[0] == runs[1] == runs[2]
+    monkeypatch.undo()
+    # each tau keeps its own entry on a graph
+    for t, ranks in KEPT_RANKS.items():
+        assert {LgaAugmenter(t).kept_rank(g) for g in ds.graphs} == ranks
+    assert all(("lga", t) in g._derived for g in ds.graphs for t in KEPT_RANKS)
 
 
 # ---------------------------------------------------------------------------
