@@ -3,14 +3,15 @@
 Each run below drives the ``swagnn`` command on the toy set, or on a
 small seeded MUTAG-shaped set that ``write_tu_set`` writes in the TU text
 layout, and collects every number it reports (each ``result.json`` field
-but ``wall_time``, ``fold_seconds`` and ``config``, the pretraining loss
-curves, the ablation table, the augmentation manifest), every checkpoint
-array and every TU file ``augment`` writes, as its SHA-256 digest and its
-values.  The ablation sweeps also keep each swept run's full result from
-``training.ablate``.  The values are compared with
-``fixtures/golden_runs.json``: exactly, digests included, on the build
-that recorded it (same numpy version and BLAS), to 1e-12 relative and
-without the digests on any other, since another BLAS may round
+but ``wall_time``, ``fold_seconds`` and ``config``, the per-fold table but
+its seconds, the pretraining loss curves, the ablation table, the
+augmentation manifest), every checkpoint array and every TU file
+``augment`` writes, as its SHA-256 digest and its values.  The ablation
+sweeps also keep each swept run's full result from ``training.ablate``.
+The values are compared with ``fixtures/golden_runs.json``: exactly,
+digests included, on the build that recorded it (same numpy version,
+BLAS, BLAS kernel core and enabled CPU features), to 1e-12 relative and
+without the digests on any other, since another BLAS or CPU may round
 differently.
 
 A change meant to move these bits records the fixture again, and names
@@ -72,13 +73,19 @@ UNREPORTED = ("wall_time", "fold_seconds", "config")
 
 
 def build() -> dict:
-    """The numpy version and BLAS library these numbers came from."""
+    """The numpy version and BLAS library these numbers came from, and the
+    CPU-dependent parts of them: the configuration OpenBLAS reports at run
+    time (with DYNAMIC_ARCH it names the kernel core picked for this CPU)
+    and the CPU features numpy's dispatch enabled here."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        name = f"{blas['name']} {blas.get('version', '')}".strip()
-    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
-        name = "unknown"
-    return {"numpy": np.__version__, "blas": name}
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 prints its config only
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    name = f"{blas['name']} {blas.get('version', '')}".strip() if "name" in blas else "unknown"
+    return {"numpy": np.__version__, "blas": name,
+            "blas_config": blas.get("openblas configuration", "unknown"),
+            "cpu_dispatch": config.get("SIMD Extensions", {}).get("found", "unknown")}
 
 
 def write_tu_set(directory: str, name: str, attributes: bool, seed: int = 0,
@@ -142,6 +149,10 @@ def _collect(out: str) -> dict:
         elif name == "loss_curves.json":
             with open(path, encoding="utf-8") as fh:
                 values[name] = json.load(fh)
+        elif name == "folds.csv":  # fold, accuracy, best_epoch; the seconds vary
+            with open(path, encoding="utf-8", newline="") as fh:
+                values[name] = [[_number(cell) for cell in row[:3]]
+                                for row in list(csv.reader(fh))[1:]]
         elif name == "ablation.csv":
             with open(path, encoding="utf-8", newline="") as fh:
                 values[name] = [[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]]
