@@ -8,10 +8,11 @@ concatenates these scalars for p = 1..P over all hidden graphs.
 
 ``SwagParams`` holds the encoder as four tensors: the feature map's
 weight and bias, and the hidden-graph bank stacked as one M x m x m
-tensor of raw weights and one M x m x d_h tensor of features.  The numpy
-forward and backward work on the stacked bank directly, and
+tensor of raw weights and one M x m x d_h tensor of features.
 ``hidden_adjacencies`` turns the raw weights into every hidden graph's
-adjacency at once (hidden-graph export uses it too).  ``HiddenGraph``,
+adjacency at once (hidden-graph export uses it too), and the numpy forward
+and backward both take the hidden walks B'^p F from ``_hidden_walks``,
+one batched product per walk length over the whole bank.  ``HiddenGraph``,
 ``hidden_adjacency`` and ``smoothed_kernel`` are the same kernel for one
 hidden graph on the autodiff tape, kept as the oracle the encoder is
 checked against.
@@ -224,36 +225,39 @@ def smoothed_kernel(B, Xm, h: HiddenGraph, p: int) -> Tensor:
     return ad.trace_product(left, right)
 
 
+def _hidden_walks(raw: np.ndarray, features: np.ndarray, P: int):
+    """Every hidden graph's adjacency B' and its walks B'^p F, p = 1..P (P x M x m x d_h)."""
+    adj = hidden_adjacencies(raw)
+    walks = np.empty((P,) + features.shape)
+    np.matmul(adj, features, out=walks[0])
+    for q in range(1, P):
+        np.matmul(adj, walks[q - 1], out=walks[q])
+    return adj, walks
+
+
 def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.ndarray:
     """The one numpy evaluation behind every encoder entry point.
 
-    All hidden graphs are merged into one block-diagonal system so the
-    hidden-side products happen once per call: with S = Xm F^T over the
-    stacked hidden features F (M*m x d_h), the kernel for hidden graph h at
-    walk length p is the block-h column sum of (B^p S) * (Xm F^T Bhid^p).
-    The column block sums go through a 0/1 ``group`` matmul, whose
-    rounding the encodings are pinned to.  Graphs run one at a time in
-    buffers sized by the largest graph.  Returns the len(graphs) x M*P
-    encodings, ordered hidden-graph-major, walk-length-minor.
+    With S = Xm F^T over the stacked hidden features F (M*m x d_h), the
+    kernel for hidden graph h at walk length p is the block-h column sum of
+    (B^p S) * (Xm (B'^p F)^T).  The walks B'^p F come from ``_hidden_walks``
+    as one d_h x M*m matrix per p, shared by every graph in the call.  The
+    column block sums go through a 0/1 ``group`` matmul, whose rounding the
+    encodings are pinned to.  Graphs run one at a time in buffers sized by
+    the largest graph.  Returns the len(graphs) x M*P encodings, ordered
+    hidden-graph-major, walk-length-minor.
     """
     if not graphs:
         raise ContractError("encode_batch: empty batch")
     m, M, P = cfg.hidden_nodes, cfg.num_hidden, cfg.max_walk
     weight, bias = params.weight.data, params.bias.data
     feats = params.features.data.reshape(M * m, -1)
-    bhid = np.zeros((M * m, M * m))
-    for i, adj in enumerate(hidden_adjacencies(params.raw.data)):
-        bhid[i * m:(i + 1) * m, i * m:(i + 1) * m] = adj
-    # right-hand factors F^T Bhid^p, shared by every graph in the call
-    right = [feats.T @ bhid]
-    for _ in range(P - 1):
-        right.append(right[-1] @ bhid)
-    group = np.zeros((M * m, M))
-    for i in range(M):
-        group[i * m:(i + 1) * m, i] = 1.0
+    walks = _hidden_walks(params.raw.data, params.features.data, P)[1]
+    right = np.ascontiguousarray(walks.transpose(0, 3, 1, 2)).reshape(P, -1, M * m)
+    group = np.repeat(np.eye(M), m, axis=0)  # 1 where row i*m..(i+1)*m meets column i
 
     # lefts[q] and rights[q]: for walk length p = q + 1, the factors B^p S
-    # and Xm F^T Bhid^p of the current graph
+    # and Xm (B'^p F)^T of the current graph
     rows = max(g.n for g in graphs)
     lefts = [np.empty((rows, M * m)) for _ in range(P)]
     rights = [np.empty((rows, M * m)) for _ in range(P)]
@@ -314,11 +318,7 @@ def _encoder_backward(grad: np.ndarray, parents: list, graphs: list, cfg: Kernel
     d1 = wt.shape[0]
     feats = features.data
     mask = 1.0 - np.eye(m)
-    adj = hidden_adjacencies(raw.data)
-    bf = [adj @ feats]  # bf[q] = B'^(q+1) F, per hidden graph
-    for _ in range(P - 1):
-        bf.append(adj @ bf[-1])
-    bf = np.stack(bf)
+    adj, bf = _hidden_walks(raw.data, feats, P)  # bf[q] = B'^(q+1) F
     feats_t = feats.transpose(0, 2, 1)
 
     stats = _walk_statistics(graphs, cfg).transpose(1, 0, 2, 3).reshape(P, n_graphs, d1 * d1)
