@@ -375,9 +375,15 @@ def usvt_estimate(a: np.ndarray, tau: float) -> np.ndarray:
 
 
 def sample_augmentation(theta: np.ndarray, seed) -> np.ndarray:
-    """One Bernoulli draw per upper-triangle entry, mirrored; zero diagonal."""
-    if np.any(theta < 0) or np.any(theta > 1):
-        raise ContractError("sample_augmentation: probabilities must lie in [0,1]")
+    """One Bernoulli draw per upper-triangle entry, mirrored; zero diagonal.
+    A theta that is not a square matrix of probabilities raises
+    ContractError."""
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+        raise ContractError(f"sample_augmentation: theta of shape {theta.shape} is not a "
+                            "square matrix")
+    # min and max propagate NaN, which then fails both comparisons
+    if not (theta.min(initial=0.0) >= 0 and theta.max(initial=1.0) <= 1):
+        raise ContractError("sample_augmentation: theta holds a value outside [0, 1] or NaN")
     m = theta.shape[0]
     rng = np.random.default_rng(seed)
     upper = _upper_triangle(m)

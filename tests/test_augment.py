@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import weakref
 
 import numpy as np
@@ -493,6 +494,15 @@ def test_sample_rejects_bad_probabilities():
         sample_augmentation(np.full((3, 3), 1.5), 0)
     with pytest.raises(ContractError):
         sample_augmentation(np.full((3, 3), -0.1), 0)
+    theta = np.full((4, 4), 0.5)
+    theta[1, 2] = np.nan
+    for bad in (theta, np.full((4, 4), np.nan)):
+        with pytest.raises(ContractError, match=r"outside \[0, 1\] or NaN"):
+            sample_augmentation(bad, 0)
+    for bad in (np.full((3, 4), 0.5), np.full(4, 0.5), np.full((2, 2, 2), 0.5)):
+        with pytest.raises(ContractError, match=re.escape(f"shape {bad.shape} is not a square")):
+            sample_augmentation(bad, 0)
+    assert sample_augmentation(np.zeros((0, 0)), 0).shape == (0, 0)
 
 
 def test_sample_deterministic_and_simple():

@@ -669,6 +669,22 @@ def test_encode_batch_holds_nothing_node_sized_until_backward():
     assert all(p.grad is not None for p in params.parameters())
 
 
+def test_encode_numpy_builds_no_array_square_in_the_hidden_nodes():
+    rng = np.random.default_rng(12)
+    cfg = KernelConfig(num_hidden=128, hidden_nodes=10, hidden_dim=4)
+    params = make_params(rng, cfg, 2)
+    g = random_graph(rng, 5)
+    tracemalloc.start()
+    try:
+        encode_numpy([g], params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (M*m) x (M*m) float64 array, such as the hidden graphs as one
+    # block-diagonal matrix, would take 13.1 MB; the hidden walks take 123 KB
+    assert peak < (cfg.num_hidden * cfg.hidden_nodes) ** 2 * 8
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_encode_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(90 + seed)

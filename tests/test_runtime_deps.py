@@ -1,0 +1,52 @@
+"""The runtime depends on numpy alone: every module of the package imports
+only numpy, the package itself and the standard library, and the project
+metadata lists numpy as its one dependency."""
+
+import ast
+import os
+import re
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "swagnn")
+ALLOWED = {"numpy", "swagnn"} | set(sys.stdlib_module_names)
+
+
+def absolute_imports(path: str) -> list:
+    """(line, top-level module) of every absolute import in a source file."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return found
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    sources = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    assert "kernel.py" in sources
+    foreign = [f"{name}:{line} imports {module}"
+               for name in sources
+               for line, module in absolute_imports(os.path.join(PACKAGE, name))
+               if module not in ALLOWED]
+    assert not foreign, foreign
+
+
+def test_project_depends_on_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    names = [re.match(r"[A-Za-z0-9._-]+", dep).group() for dep in dependencies]
+    assert names == ["numpy"], dependencies
+
+
+def test_a_foreign_import_is_caught(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import os\nfrom . import kernel\nimport scipy.linalg\n"
+                    "from numpy.linalg import eigh\n")
+    assert [m for _, m in absolute_imports(str(path)) if m not in ALLOWED] == ["scipy"]
