@@ -240,12 +240,12 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.
 
     With S = Xm F^T over the stacked hidden features F (M*m x d_h), the
     kernel for hidden graph h at walk length p is the block-h column sum of
-    (B^p S) * (Xm (B'^p F)^T).  The walks B'^p F come from ``_hidden_walks``
-    as one d_h x M*m matrix per p, shared by every graph in the call.  The
-    column block sums go through a 0/1 ``group`` matmul, whose rounding the
-    encodings are pinned to.  Graphs run one at a time in buffers sized by
-    the largest graph.  Returns the len(graphs) x M*P encodings, ordered
-    hidden-graph-major, walk-length-minor.
+    (B^p S) * (Xm (B'^p F)^T), with the walks of ``_hidden_walks`` copied
+    into one contiguous d_h x M*m matrix per p (a strided view rounds
+    differently), shared by every graph in the call.  Block sums go through
+    a 0/1 ``group`` matmul, whose rounding the encodings are pinned to.
+    Graphs run one at a time in buffers sized by the largest graph.  Returns
+    the len(graphs) x M*P encodings, hidden-graph-major, walk-length-minor.
     """
     if not graphs:
         raise ContractError("encode_batch: empty batch")
