@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,8 @@ class Graph:
 
     ``adjacency`` is a symmetric 0/1 matrix with zero diagonal and
     ``features`` has one row per node.  ``label`` is a 0-based class
-    index, or None for unlabeled graphs.
+    index, or None for unlabeled graphs.  ``Dataset`` checks this where a
+    graph enters the library.
     """
 
     n: int
@@ -31,20 +32,6 @@ class Graph:
     features: np.ndarray
     label: Optional[int] = None
     _derived: dict = field(default_factory=dict, init=False, repr=False)
-
-    def validate(self) -> "Graph":
-        if self.n <= 0:
-            raise ContractError("Graph: node count must be positive")
-        a = self.adjacency
-        if a.shape != (self.n, self.n):
-            raise ContractError(f"Graph: adjacency shape {a.shape} != ({self.n}, {self.n})")
-        if not np.array_equal(a, a.T):
-            raise ContractError("Graph: adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise ContractError("Graph: adjacency diagonal must be zero")
-        if self.features.ndim != 2 or self.features.shape[0] != self.n:
-            raise ContractError("Graph: features must have one row per node")
-        return self
 
     @property
     def feature_dim(self) -> int:
@@ -64,17 +51,46 @@ class Graph:
 
 @dataclass
 class Dataset:
+    """Graphs of one feature width.  Construction is the one contract check
+    of the graphs: each has n >= 1 nodes, an n x n symmetric adjacency with
+    a zero diagonal, n x ``feature_dim`` finite features and a label in
+    0..``num_classes``-1 or None.  A graph that breaks it raises
+    ContractError naming the dataset and the graph's position."""
+
     graphs: list
     num_classes: int
     feature_dim: int
     name: str
 
     def __post_init__(self):
-        for g in self.graphs:
-            if g.feature_dim != self.feature_dim:
-                raise ContractError(f"Dataset {self.name}: inconsistent feature dims")
+        by_size = {}  # positions by node count: graphs of one size are checked as one stack
+        for i, g in enumerate(self.graphs):
+            a, x = g.adjacency, g.features
+            if g.n < 1 or a.shape != (g.n, g.n) or x.shape != (g.n, self.feature_dim):
+                self._reject(i, f"has {g.n} nodes, adjacency shape {a.shape} and features shape "
+                                f"{x.shape}, expected n >= 1, ({g.n}, {g.n}) and "
+                                f"({g.n}, {self.feature_dim})")
             if g.label is not None and not (0 <= g.label < self.num_classes):
-                raise ContractError(f"Dataset {self.name}: label {g.label} out of range")
+                self._reject(i, f"has label {g.label}, out of range")
+            by_size.setdefault(g.n, []).append(i)
+        failed = []  # (position, what is wrong): each check's first failing graph per stack
+        for positions in by_size.values():
+            a = np.stack([self.graphs[i].adjacency for i in positions])
+            for bad, what in (((a != a.transpose(0, 2, 1)).reshape(len(a), -1).any(axis=1),
+                               "has an asymmetric adjacency"),
+                              (a.diagonal(axis1=1, axis2=2).any(axis=1),
+                               "has a nonzero adjacency diagonal")):
+                if bad.any():
+                    failed.append((positions[int(bad.argmax())], what))
+        # features are checked as one matrix; only a failure looks for its graph
+        if self.graphs and not np.isfinite(np.concatenate([g.features for g in self.graphs])).all():
+            failed.append((next(i for i, g in enumerate(self.graphs)
+                                if not np.isfinite(g.features).all()), "has a non-finite feature"))
+        if failed:
+            self._reject(*min(failed))
+
+    def _reject(self, position: int, what: str):
+        raise ContractError(f"Dataset {self.name}: graph {position} {what}")
 
     def __len__(self):
         return len(self.graphs)

@@ -244,7 +244,7 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.
     into one contiguous d_h x M*m matrix per p (a strided view rounds
     differently), shared by every graph in the call.  Block sums go through
     a 0/1 ``group`` matmul, whose rounding the encodings are pinned to.
-    Graphs run one at a time in buffers sized by the largest graph.  Returns
+    Graphs run one at a time, so no array spans the batch's nodes.  Returns
     the len(graphs) x M*P encodings, hidden-graph-major, walk-length-minor.
     """
     if not graphs:
@@ -255,12 +255,6 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.
     walks = _hidden_walks(params.raw.data, params.features.data, P)[1]
     right = np.ascontiguousarray(walks.transpose(0, 3, 1, 2)).reshape(P, -1, M * m)
     group = np.repeat(np.eye(M), m, axis=0)  # 1 where row i*m..(i+1)*m meets column i
-
-    # lefts[q] and rights[q]: for walk length p = q + 1, the factors B^p S
-    # and Xm (B'^p F)^T of the current graph
-    rows = max(g.n for g in graphs)
-    lefts = [np.empty((rows, M * m)) for _ in range(P)]
-    rights = [np.empty((rows, M * m)) for _ in range(P)]
     out = np.empty((len(graphs), M * P))
     for gi, g in enumerate(graphs):
         if g.adjacency.shape != (g.n, g.n) or g.features.shape != (g.n, len(weight)):
@@ -269,12 +263,11 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.
                                 f"expected ({g.n}, {g.n}) and ({g.n}, {len(weight)})")
         b = diffuse(g, cfg.diffusion)
         xm = g.features @ weight + bias
-        left = np.matmul(b, xm @ feats.T, out=lefts[0][:g.n])
+        left = b @ (xm @ feats.T)  # B^p S for p = q + 1
         for q in range(P):
-            r = np.matmul(xm, right[q], out=rights[q][:g.n])
-            out[gi, q::P] = ((left * r) @ group).sum(axis=0)
+            out[gi, q::P] = ((left * (xm @ right[q])) @ group).sum(axis=0)
             if q + 1 < P:
-                left = np.matmul(b, left, out=lefts[q + 1][:g.n])
+                left = b @ left
     return out
 
 
@@ -292,11 +285,11 @@ def _graph_walks(g: Graph, cfg: KernelConfig) -> np.ndarray:
     b = diffuse(g, cfg.diffusion)
     xt = np.ones((g.n, g.feature_dim + 1))
     xt[:, :-1] = g.features
-    walks = np.empty((cfg.max_walk,) + xt.shape)
-    walk = xt
-    for q in range(cfg.max_walk):
-        walk = np.matmul(b, walk, out=walks[q])
-    return np.matmul(xt.T, walks)
+    walk, walks = xt, []
+    for _ in range(cfg.max_walk):
+        walk = b @ walk
+        walks.append(walk)
+    return np.matmul(xt.T, np.stack(walks))
 
 
 def _encoder_backward(grad: np.ndarray, parents: list, graphs: list, cfg: KernelConfig):

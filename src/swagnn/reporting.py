@@ -167,8 +167,7 @@ def load_checkpoint(path: str, expect: TrainConfig = None):
 # hidden-graph export
 # ---------------------------------------------------------------------------
 
-def export_hidden_graphs(params: SwagParams, threshold: float = 0.5,
-                         out: str = ".") -> list:
+def export_hidden_graphs(params: SwagParams, threshold: float, out: str) -> list:
     """For every hidden graph, write its effective adjacency as JSON and a
     DOT file keeping edges with weight >= threshold.  Returns the paths."""
     os.makedirs(out, exist_ok=True)

@@ -165,15 +165,14 @@ class RunResult:
     fold_states: list = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def aggregate(cls, folds: list, config: dict, mode: str,
-                  wall_time: float) -> "RunResult":
+    def aggregate(cls, folds: list, config: dict, wall_time: float) -> "RunResult":
         accs = [f["test_accuracy"] for f in folds]
         return cls(fold_accuracies=accs,
                    mean_accuracy=float(np.mean(accs)),
                    std_accuracy=float(np.std(accs)),
                    wall_time=wall_time,
                    config=config,
-                   mode=mode,
+                   mode=config["mode"],
                    loss_curves=[f["loss_curve"] for f in folds],
                    val_curves=[f["val_curve"] for f in folds],
                    val_accuracies=[f["val_accuracy"] for f in folds],
@@ -284,12 +283,13 @@ def _epochs(opt: ad.Adam, rng: np.random.Generator, n: int, epochs: int,
         yield epoch, total / seen
 
 
-def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, kcfg: KernelConfig,
-              fold: int, params: SwagParams = None) -> dict:
+def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int,
+              params: SwagParams = None) -> dict:
     """Train a classifier on one fold; the encoder trains with it unless
     ``cfg.mode`` is "probe"."""
     start = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, fold])
+    kcfg = cfg.kernel_config()
     labels = ds.labels()
     if params is None:
         params = SwagParams.init(kcfg, ds.feature_dim, rng)
@@ -347,16 +347,14 @@ def _run_folds(cfg: TrainConfig, dataset: Dataset, fold_params: list = None) -> 
     """One ``_run_fold`` per validated fold, from scratch or from each
     fold's pretrained encoder."""
     ds = dataset if dataset is not None else load_dataset(cfg)
-    kcfg = cfg.kernel_config()
     folds = _validated_folds(ds, cfg)
     if fold_params is not None and len(folds) != len(fold_params):
         raise ConfigError("adapt: fold count does not match the pretrained run")
     start = time.perf_counter()
-    results = [_run_fold(ds, split, cfg, kcfg, fold,
+    results = [_run_fold(ds, split, cfg, fold,
                          None if fold_params is None else fold_params[fold].copy())
                for fold, split in enumerate(folds)]
-    return RunResult.aggregate(results, cfg.to_dict(), cfg.mode,
-                               time.perf_counter() - start)
+    return RunResult.aggregate(results, cfg.to_dict(), time.perf_counter() - start)
 
 
 def train_supervised(cfg: TrainConfig, dataset: Dataset = None) -> RunResult:
@@ -378,9 +376,13 @@ class PretrainResult:
     config: dict
 
 
-def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig,
-                   kcfg: KernelConfig, fold: int, augmenter, epochs: int):
+def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int):
+    """Train one fold's encoder label-free on its train split for
+    ``cfg.pretrain_epochs`` epochs (None means ``cfg.epochs``)."""
     rng = np.random.default_rng([cfg.seed, fold, 1])
+    kcfg = cfg.kernel_config()
+    augmenter = cfg.make_augmenter()
+    epochs = cfg.epochs if cfg.pretrain_epochs is None else cfg.pretrain_epochs
     params = SwagParams.init(kcfg, ds.feature_dim, rng)
     head = ProjectionHead.for_encoder(kcfg.output_dim, rng)
     loss_fn, min_batch = OBJECTIVES[cfg.objective]
@@ -399,23 +401,16 @@ def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig,
     return params, head, curve
 
 
-def pretrain_ssl(cfg: TrainConfig, dataset: Dataset = None,
-                 epochs: int = None) -> PretrainResult:
+def pretrain_ssl(cfg: TrainConfig, dataset: Dataset = None) -> PretrainResult:
     """Label-free encoder pretraining, one encoder per fold, for
-    ``cfg.pretrain_epochs`` epochs (``epochs``, if given, sets that field).
+    ``cfg.pretrain_epochs`` epochs.
 
     Each fold's encoder sees only that fold's train split, so downstream
     adaptation never leaks test graphs into pretraining.
     """
-    if epochs is not None:
-        cfg = dataclasses.replace(cfg, pretrain_epochs=epochs)
     ds = dataset if dataset is not None else load_dataset(cfg)
-    kcfg = cfg.kernel_config()
-    folds = stratified_folds(ds, cfg.folds, cfg.seed)
-    augmenter = cfg.make_augmenter()
-    epochs = cfg.epochs if cfg.pretrain_epochs is None else cfg.pretrain_epochs
-    runs = [_pretrain_fold(ds, split, cfg, kcfg, fold, augmenter, epochs)
-            for fold, split in enumerate(folds)]
+    runs = [_pretrain_fold(ds, split, cfg, fold)
+            for fold, split in enumerate(stratified_folds(ds, cfg.folds, cfg.seed))]
     fold_params, fold_heads, curves = (list(column) for column in zip(*runs))
     return PretrainResult(fold_params, fold_heads, curves, cfg.to_dict())
 
@@ -432,14 +427,11 @@ def adapt(pretrained: PretrainResult, cfg: TrainConfig,
     return _run_folds(cfg, dataset, pretrained.fold_params)
 
 
-def cross_validate(cfg: TrainConfig, dataset: Dataset = None,
-                   pretrain_epochs: int = None) -> RunResult:
+def cross_validate(cfg: TrainConfig, dataset: Dataset = None) -> RunResult:
     """One cross-validated run of ``cfg.mode``: probe and finetune first
-    pretrain each fold's encoder, supervised trains from scratch.  The
-    dataset is loaded at most once, and the folds are checked before any
-    pretraining.  ``pretrain_epochs``, if given, sets that field."""
-    if pretrain_epochs is not None:
-        cfg = dataclasses.replace(cfg, pretrain_epochs=pretrain_epochs)
+    pretrain each fold's encoder for ``cfg.pretrain_epochs`` epochs,
+    supervised trains from scratch.  The dataset is loaded at most once,
+    and the folds are checked before any pretraining."""
     ds = dataset if dataset is not None else load_dataset(cfg)
     if cfg.mode in ADAPT_MODES:
         _validated_folds(ds, cfg)
@@ -482,12 +474,9 @@ def sweep_configs(cfg: TrainConfig, parameter: str, values: list) -> list:
 
 
 def ablate(cfg: TrainConfig, parameter: str, values: list,
-           dataset: Dataset = None, pretrain_epochs: int = None) -> list:
+           dataset: Dataset = None) -> list:
     """One full run per value of ``sweep_configs``, with shared folds and
-    seeds; a bad value fails before the dataset loads or any run starts.
-    ``pretrain_epochs``, if given, sets that field."""
-    if pretrain_epochs is not None:
-        cfg = dataclasses.replace(cfg, pretrain_epochs=pretrain_epochs)
+    seeds; a bad value fails before the dataset loads or any run starts."""
     runs = sweep_configs(cfg, parameter, values)
     ds = dataset if dataset is not None else load_dataset(cfg)
     return [cross_validate(run, ds) for run in runs]

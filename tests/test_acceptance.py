@@ -5,6 +5,7 @@ benchmark skip with instructions when the data directory is absent
 (see README for how to place it).
 """
 
+import dataclasses
 import os
 import time
 
@@ -224,8 +225,8 @@ def test_criterion_6_mutag_supervised_accuracy():
 def test_criterion_7_pretraining_does_not_hurt():
     supervised = _mutag_supervised()
     start = time.perf_counter()
-    cfg = _mutag_config(mode="finetune", augmenter="lga", tau=2.02)
-    pretrained = pretrain_ssl(cfg, epochs=100)
+    cfg = _mutag_config(mode="finetune", augmenter="lga", tau=2.02, pretrain_epochs=100)
+    pretrained = pretrain_ssl(cfg)
     finetuned = adapt(pretrained, cfg)
     elapsed = time.perf_counter() - start
     assert finetuned.mean_accuracy >= supervised.mean_accuracy - 0.02
@@ -264,7 +265,7 @@ def test_criterion_9_ablations_keep_training_accuracy_full():
                        batch_size=8, folds=2, seed=0)
     tau_values = [0.3, 2.02, 4.2]
     m_values = [2, 8, 24]
-    tau_results = ablate(base, "tau", tau_values, pretrain_epochs=10)
+    tau_results = ablate(dataclasses.replace(base, pretrain_epochs=10), "tau", tau_values)
     m_results = ablate(base, "num_hidden", m_values)
     for name, values, results in (("tau", tau_values, tau_results),
                                   ("num_hidden", m_values, m_results)):

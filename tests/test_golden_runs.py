@@ -180,8 +180,8 @@ def _without_digests(values):
 
 def _sweep(run: str) -> list:
     parameter, swept, pretrain_epochs = SWEEPS[run]
-    results = ablate(TrainConfig(**SWEEP_CONFIG), parameter, swept,
-                     pretrain_epochs=pretrain_epochs)
+    cfg = TrainConfig(**SWEEP_CONFIG, pretrain_epochs=pretrain_epochs)
+    results = ablate(cfg, parameter, swept)
     records = []
     for result in results:
         record = _reported({name: value for name, value in vars(result).items()

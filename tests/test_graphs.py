@@ -30,13 +30,36 @@ def edge_graph():
 
 
 def test_graph_validation():
+    def dataset(bad):
+        return Dataset([triangle(), edge_graph(), bad, triangle()], 1, 1, "checked")
+
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ContractError):
-        Graph(2, a, np.zeros((2, 1))).validate()
-    with pytest.raises(ContractError):
-        Graph(2, np.eye(2), np.zeros((2, 1))).validate()
-    with pytest.raises(ContractError):
-        Graph(3, np.zeros((2, 2)), np.zeros((2, 1))).validate()
+    # asymmetric (loop[0, 2] only) with a self-loop: before, this trained to the end
+    loop = np.zeros((4, 4))
+    loop[0, 1] = loop[1, 0] = loop[2, 3] = loop[3, 2] = loop[0, 2] = loop[1, 1] = 1.0
+    for bad, what in ((Graph(2, a, np.zeros((2, 1))), "has an asymmetric adjacency"),
+                      (Graph(4, loop, np.ones((4, 1))), "has a nonzero adjacency diagonal"),
+                      (Graph(2, np.eye(2), np.zeros((2, 1))), "has a nonzero adjacency diagonal"),
+                      (Graph(3, np.zeros((2, 2)), np.zeros((2, 1))),
+                       "has 3 nodes, adjacency shape (2, 2) and features shape (2, 1), "
+                       "expected n >= 1, (3, 3) and (3, 1)"),
+                      (Graph(2, edge_graph().adjacency, np.zeros((2, 2))),
+                       "features shape (2, 2), expected n >= 1, (2, 2) and (2, 1)"),
+                      (Graph(2, edge_graph().adjacency, np.array([[1.0], [np.nan]])),
+                       "has a non-finite feature"),
+                      (Graph(2, edge_graph().adjacency, np.array([[np.inf], [1.0]])),
+                       "has a non-finite feature"),
+                      (Graph(0, np.zeros((0, 0)), np.zeros((0, 1))), "has 0 nodes")):
+        with pytest.raises(ContractError) as exc:
+            dataset(bad)
+        assert str(exc.value).startswith("Dataset checked: graph 2 ")
+        assert what in str(exc.value)
+    # the first failing graph is named, whichever stack of equal-size graphs it is in
+    late = Graph(3, triangle().adjacency, np.array([[1.0], [2.0], [np.nan]]))
+    with pytest.raises(ContractError, match="graph 1 has an asymmetric adjacency"):
+        Dataset([triangle(), Graph(2, a, np.zeros((2, 1))), late], 1, 1, "checked")
+    with pytest.raises(ContractError, match="graph 0 has label 1, out of range"):
+        Dataset([Graph(2, edge_graph().adjacency, np.zeros((2, 1)), 1)], 1, 1, "checked")
 
 
 def test_transition_matrix_edge():

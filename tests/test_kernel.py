@@ -23,7 +23,6 @@ from swagnn.kernel import (
     smoothed_kernel,
     swag_encode,
 )
-from swagnn.training import TrainConfig, train_supervised
 from test_autodiff import check_grads
 
 
@@ -260,14 +259,24 @@ def test_encode_single_node_zero_features():
 
 
 def test_encode_batch_matches_single(seed=4):
+    # each row is computed from its own graph alone: the batch around it, its
+    # position and the other graphs' sizes change no bit of it
     rng = np.random.default_rng(seed)
-    cfg = KernelConfig(num_hidden=3, hidden_nodes=3, hidden_dim=2, max_walk=2)
-    params = make_params(rng, cfg, 2)
-    graphs = [random_graph(rng, int(rng.integers(2, 7))) for _ in range(6)]
-    batch = encode_batch(graphs, params, cfg).data
-    for i, g in enumerate(graphs):
-        np.testing.assert_allclose(batch[i], swag_encode(g, params, cfg).data,
-                                   rtol=1e-9, atol=1e-10)
+    for cfg in (KernelConfig(num_hidden=3, hidden_nodes=3, hidden_dim=2, max_walk=2),
+                KernelConfig()):
+        params = make_params(rng, cfg, 2)
+        graphs = ([random_graph(rng, int(rng.integers(2, 7))) for _ in range(6)]
+                  + [random_graph(rng, 1), random_graph(rng, 28), random_graph(rng, 5)])
+        batch = encode_batch(graphs, params, cfg).data
+        assert np.array_equal(batch, encode_numpy(graphs, params, cfg))
+        order = rng.permutation(len(graphs))
+        shuffled = encode_numpy([graphs[i] for i in order], params, cfg)
+        for row, i in enumerate(order):
+            assert np.array_equal(shuffled[row], batch[i])
+        for i, g in enumerate(graphs):
+            assert np.array_equal(swag_encode(g, params, cfg).data, batch[i])
+            assert np.array_equal(encode_numpy([g], params, cfg)[0], batch[i])
+            assert np.array_equal(encode_batch([g], params, cfg).data[0], batch[i])
 
 
 def test_encode_numpy_matches_autodiff():
@@ -628,13 +637,11 @@ def test_encode_batch_rejects_empty_batch_and_wrong_features():
             assert (f"graph 1 of the batch has adjacency shape {g.adjacency.shape} and "
                     f"features shape {g.features.shape}, expected (3, 3) and (3, 2)"
                     ) in str(exc.value)
-    ds = Dataset([random_graph(np.random.default_rng(i), 4) for i in range(6)] + bad[:1], 2, 2,
-                 "mismatched")
-    for i, g in enumerate(ds.graphs):
-        g.label = i % 2
-    with pytest.raises(ContractError, match="features shape \\(2, 2\\)"):
-        train_supervised(TrainConfig(dataset="mismatched", hidden_graphs=3, hidden_nodes=4,
-                                     hidden_dim=3, walk_len=3, epochs=1, folds=2), ds)
+    # a dataset rejects such a graph where it enters, before any training
+    with pytest.raises(ContractError, match="graph 6 has 3 nodes, adjacency shape \\(3, 3\\) and "
+                                            "features shape \\(2, 2\\)"):
+        Dataset([random_graph(np.random.default_rng(i), 4) for i in range(6)] + bad[:1], 2, 2,
+                "mismatched")
 
 
 def molecule_like(rng, n, d=7):

@@ -1,6 +1,7 @@
 """The runtime depends on numpy alone: every module of the package imports
 only numpy, the package itself and the standard library, and the project
-metadata lists numpy as its one dependency."""
+metadata lists numpy as its one dependency.  Every name a module imports
+is also used in it."""
 
 import ast
 import os
@@ -27,14 +28,43 @@ def absolute_imports(path: str) -> list:
     return found
 
 
+def unused_imports(path: str) -> list:
+    """(line, name) of every name an import binds in a source file that the
+    file never reads; a name listed in ``__all__`` counts as read."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    bound, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__"
+                                                  for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in bound if name not in read]
+
+
+SOURCES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+
+
 def test_package_imports_only_numpy_and_the_standard_library():
-    sources = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
-    assert "kernel.py" in sources
+    assert "kernel.py" in SOURCES
     foreign = [f"{name}:{line} imports {module}"
-               for name in sources
+               for name in SOURCES
                for line, module in absolute_imports(os.path.join(PACKAGE, name))
                if module not in ALLOWED]
     assert not foreign, foreign
+
+
+def test_package_uses_every_name_it_imports():
+    unused = [f"{name}:{line} imports {imported} and never uses it"
+              for name in SOURCES
+              for line, imported in unused_imports(os.path.join(PACKAGE, name))]
+    assert not unused, unused
 
 
 def test_project_depends_on_numpy_alone():
@@ -50,3 +80,11 @@ def test_a_foreign_import_is_caught(tmp_path):
     path.write_text("import os\nfrom . import kernel\nimport scipy.linalg\n"
                     "from numpy.linalg import eigh\n")
     assert [m for _, m in absolute_imports(str(path)) if m not in ALLOWED] == ["scipy"]
+
+
+def test_an_unused_import_is_caught(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+                    "from itertools import chain, repeat\nfrom . import kernel\n"
+                    "__all__ = ['kernel']\nx = np.zeros(2)\nlist(repeat(x, 2))\n")
+    assert unused_imports(str(path)) == [(2, "os"), (4, "chain")]

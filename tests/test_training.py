@@ -6,7 +6,7 @@ import pytest
 import swagnn.training
 from swagnn import autodiff as ad
 from swagnn import augment as augment_module
-from swagnn.augment import IdentityAugmenter, LgaAugmenter
+from swagnn.augment import LgaAugmenter
 from swagnn.errors import ConfigError, TrainingError
 from swagnn.graphs import Dataset, FoldSplit, Graph, degree_features
 from swagnn.training import (
@@ -203,7 +203,7 @@ def test_checkpoint_prefers_earliest_best_epoch():
     ds = make_toy_dataset()
     cfg = small_cfg(epochs=25)
     split = FoldSplit(train_idx=[0, 1, 4, 5], val_idx=[2, 6], test_idx=[3, 7])
-    fold = _run_fold(ds, split, cfg, cfg.kernel_config(), 0)
+    fold = _run_fold(ds, split, cfg, 0)
     best = fold["best_epoch"]
     curve = fold["val_curve"]
     assert curve[best] == max(curve)
@@ -219,8 +219,7 @@ def test_pretrain_infonce_identity_separates_distinct_graphs():
     ds = Dataset(graphs, 2, 1, "four")
     split = FoldSplit(train_idx=[0, 1, 2, 3], val_idx=[], test_idx=[])
     cfg = small_cfg(epochs=50, augmenter="identity")
-    params, head, curve = _pretrain_fold(ds, split, cfg, cfg.kernel_config(), 0,
-                                         IdentityAugmenter(), epochs=50)
+    params, head, curve = _pretrain_fold(ds, split, cfg, 0)
     assert min(curve) < np.log(4)
     assert curve[-1] < curve[0]
 
@@ -231,12 +230,9 @@ def test_pretrain_lga_fixed_point_matches_identity():
     ds = Dataset(graphs, 2, 1, "complete")
     split = FoldSplit(train_idx=list(range(6)), val_idx=[], test_idx=[])
     cfg = small_cfg(epochs=8)
-    kcfg = cfg.kernel_config()
     # small tau keeps the whole spectrum, so every draw returns the anchor
-    _, _, lga_curve = _pretrain_fold(ds, split, cfg, kcfg, 0,
-                                     LgaAugmenter(tau=0.3, seed=cfg.seed), epochs=8)
-    _, _, id_curve = _pretrain_fold(ds, split, cfg, kcfg, 0,
-                                    IdentityAugmenter(), epochs=8)
+    _, _, lga_curve = _pretrain_fold(ds, split, small_cfg(epochs=8, tau=0.3), 0)
+    _, _, id_curve = _pretrain_fold(ds, split, small_cfg(epochs=8, augmenter="identity"), 0)
     np.testing.assert_allclose(lga_curve, id_curve, atol=1e-9)
 
 
@@ -262,7 +258,7 @@ def test_pretrain_returns_per_fold_state():
 def test_probe_trains_head_only_and_fits_toy():
     ds = make_toy_dataset()
     cfg = small_cfg(epochs=60, mode="probe")
-    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=0)
+    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain", pretrain_epochs=0), ds)
     before = [p.data.copy() for fp in pre.fold_params for p in fp.parameters()]
     result = adapt(pre, cfg, ds)
     after = [p.data for fp in pre.fold_params for p in fp.parameters()]
@@ -280,7 +276,7 @@ def test_probe_leaves_used_encoder_unchanged():
     params = SwagParams.init(kcfg, ds.feature_dim, np.random.default_rng(0))
     snapshot = [p.data.copy() for p in params.parameters()]
     split = FoldSplit(train_idx=[0, 1, 4, 5], val_idx=[2, 6], test_idx=[3, 7])
-    _run_fold(ds, split, cfg, kcfg, 0, params=params)
+    _run_fold(ds, split, cfg, 0, params=params)
     for p, snap in zip(params.parameters(), snapshot):
         np.testing.assert_array_equal(p.data, snap)
 
@@ -289,7 +285,7 @@ def test_probe_encodes_each_graph_once_per_fold(monkeypatch):
     import swagnn.training
     ds = make_toy_dataset()
     cfg = small_cfg(epochs=3, mode="probe")
-    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=0)
+    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain", pretrain_epochs=0), ds)
     encode, encoded = swagnn.training.encode_numpy, []
 
     def counted(graphs, *args):
@@ -304,7 +300,7 @@ def test_probe_encodes_each_graph_once_per_fold(monkeypatch):
 def test_finetune_updates_encoder():
     ds = make_toy_dataset()
     cfg = small_cfg(epochs=5, mode="finetune", augmenter="lga", tau=1.0)
-    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=2)
+    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain", pretrain_epochs=2), ds)
     kept = [p.data.copy() for p in pre.fold_params[0].parameters()]
     result = adapt(pre, cfg, ds)
     assert result.mode == "finetune"
@@ -318,7 +314,7 @@ def test_adapt_validation():
     cfg = small_cfg(epochs=2, mode="probe")
     with pytest.raises(ConfigError):
         adapt(None, cfg, ds)
-    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=1)
+    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain", pretrain_epochs=1), ds)
     with pytest.raises(ConfigError):
         adapt(pre, dataclasses.replace(cfg, mode="supervised"), ds)
     with pytest.raises(ConfigError):
@@ -356,7 +352,7 @@ def test_trained_parameters_stay_views_of_their_optimizer(optimizers):
     cfg = small_cfg(epochs=3, augmenter="edge-drop", drop_rate=0.3)
     train_supervised(cfg, ds)
     assert_views(optimizers, cfg.folds)
-    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=2)
+    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain", pretrain_epochs=2), ds)
     assert_views(optimizers, 2 * cfg.folds)
     probe = adapt(pre, dataclasses.replace(cfg, mode="probe"), ds)
     assert_views(optimizers, 3 * cfg.folds)
@@ -373,24 +369,16 @@ def test_trained_parameters_stay_views_of_their_optimizer(optimizers):
 
 
 def test_negative_pretrain_epochs_is_a_config_error():
-    ds = make_toy_dataset()
     cfg = small_cfg(epochs=1, mode="probe")
-    supervised = dataclasses.replace(cfg, mode="supervised")  # would not pretrain at all
-    calls = {"pretrain_ssl": lambda: pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"),
-                                                  ds, epochs=-3),
-             "cross_validate": lambda: cross_validate(cfg, ds, pretrain_epochs=-3),
-             "supervised cross_validate": lambda: cross_validate(supervised, ds,
-                                                                 pretrain_epochs=-3),
-             "ablate": lambda: ablate(cfg, "tau", [0.5], ds, pretrain_epochs=-3),
-             "supervised ablate": lambda: ablate(supervised, "num_hidden", [2], ds,
-                                                 pretrain_epochs=-3)}
-    for call in calls.values():
-        with pytest.raises(ConfigError, match="-3"):
-            call()
+    for mode in ("probe", "supervised"):  # supervised would not pretrain at all
+        with pytest.raises(ConfigError, match="pretrain_epochs must be >= 0, got -3"):
+            dataclasses.replace(cfg, mode=mode, pretrain_epochs=-3)
     # 0 keeps the untrained encoder: the control for what pretraining buys
-    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds, epochs=0)
+    ds = make_toy_dataset()
+    cfg = dataclasses.replace(cfg, pretrain_epochs=0)
+    pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds)
     assert pre.loss_curves == [[], []]
-    assert cross_validate(cfg, ds, pretrain_epochs=0).mode == "probe"
+    assert cross_validate(cfg, ds).mode == "probe"
 
 
 def molecule_dataset(seed, count=24):
@@ -423,7 +411,7 @@ def test_warm_graph_caches_give_the_bits_of_cold_ones(augmenter, tau, monkeypatc
     # cold graphs; then the warmed ones, whose second run finds every
     # anchor's diffusion and walks cached too
     for data in (molecule_dataset(5), ds, ds):
-        pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), data, epochs=2)
+        pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain", pretrain_epochs=2), data)
         result = adapt(pre, cfg, data)
         runs.append((pre.loss_curves, result.loss_curves, result.val_curves,
                      result.fold_accuracies, run_bytes(pre, result)))
@@ -446,12 +434,12 @@ def test_warm_graph_caches_give_the_bits_of_cold_ones(augmenter, tau, monkeypatc
 def test_ablate_tau_shares_folds_and_warns_outside_guidance():
     ds = make_toy_dataset()
     cfg = small_cfg(epochs=10)
-    results = ablate(cfg, "tau", [0.3, 2.02], ds, pretrain_epochs=2)
+    results = ablate(dataclasses.replace(cfg, pretrain_epochs=2), "tau", [0.3, 2.02], ds)
     assert len(results) == 2
     assert all(r.mode == "finetune" for r in results)
     assert results[0].config["seed"] == results[1].config["seed"]
     with pytest.warns(UserWarning):
-        ablate(cfg, "tau", [10.0], ds, pretrain_epochs=1)
+        ablate(dataclasses.replace(cfg, pretrain_epochs=1), "tau", [10.0], ds)
 
 
 def test_ablate_num_hidden_supervised():
@@ -476,19 +464,17 @@ def test_ablate_checks_every_value_before_the_first_run(monkeypatch, recwarn, pa
     assert len(recwarn) == 0  # nor is tau=10.0 warned about
 
 
-def test_pretrain_epochs_is_a_field_that_the_keywords_set():
+def test_pretrain_epochs_field_sets_the_pretraining_budget():
     ds = make_toy_dataset()
     cfg = small_cfg(epochs=3, mode="pretrain", augmenter="identity")
-    by_field = pretrain_ssl(dataclasses.replace(cfg, pretrain_epochs=1), ds)
-    by_keyword = pretrain_ssl(cfg, ds, epochs=1)
-    assert by_field.config == by_keyword.config
-    assert by_field.config["pretrain_epochs"] == 1
-    assert by_field.loss_curves == by_keyword.loss_curves
-    assert [len(curve) for curve in by_field.loss_curves] == [1, 1]
-    probe = dataclasses.replace(cfg, mode="probe")
-    assert cross_validate(probe, ds, pretrain_epochs=2).config["pretrain_epochs"] == 2
-    assert [r.config["pretrain_epochs"] for r in ablate(probe, "num_hidden", [2], ds,
-                                                        pretrain_epochs=0)] == [0]
+    assert [len(curve) for curve in pretrain_ssl(cfg, ds).loss_curves] == [3, 3]
+    pre = pretrain_ssl(dataclasses.replace(cfg, pretrain_epochs=1), ds)
+    assert pre.config["pretrain_epochs"] == 1
+    assert [len(curve) for curve in pre.loss_curves] == [1, 1]
+    probe = dataclasses.replace(cfg, mode="probe", pretrain_epochs=2)
+    assert cross_validate(probe, ds).config["pretrain_epochs"] == 2
+    untrained = dataclasses.replace(probe, pretrain_epochs=0)
+    assert [r.config["pretrain_epochs"] for r in ablate(untrained, "num_hidden", [2], ds)] == [0]
     with pytest.raises(ConfigError, match="pretrain_epochs must be >= 0, got -1"):
         small_cfg(pretrain_epochs=-1)
 

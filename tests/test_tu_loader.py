@@ -97,8 +97,7 @@ def oracle_load_tu_dataset(directory, name):
     labels = [remap[c] for c in raw_labels]
 
     features = _node_features(paths, indicator, adjacencies, node_graph, node_local)
-    graphs = [Graph(adjacencies[i].shape[0], adjacencies[i], features[i],
-                    labels[i]).validate()
+    graphs = [Graph(adjacencies[i].shape[0], adjacencies[i], features[i], labels[i])
               for i in range(len(sizes))]
     return Dataset(graphs, len(classes), graphs[0].feature_dim, name)
 
