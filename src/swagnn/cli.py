@@ -18,13 +18,13 @@ import sys
 
 from .augment import rank0_certified
 from .errors import ConfigError, SwagError
-from .graphs import stratified_folds
+from .graphs import Dataset, stratified_folds
 from .reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
                         fold_csv, load_checkpoint, load_result, save_checkpoint,
                         save_result, summarize)
 from .training import (ABLATIONS, ADAPT_MODES, CHOICES, FIELD_TYPES, PretrainResult,
-                       TrainConfig, adapt, cross_validate, load_dataset, pretrain_ssl,
-                       sweep_configs)
+                       TrainConfig, ablate, adapt, cross_validate, load_dataset,
+                       pretrain_ssl, sweep_configs)
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
 
@@ -90,29 +90,33 @@ def _save_run(result, cfg: TrainConfig):
     print(f"wrote {cfg.out}/result.json, folds.csv, checkpoint.npz")
 
 
-def _report_rank0(dataset, cfg: TrainConfig):
-    """Print how many graphs the row-sum certificate puts at LGA rank 0 at
-    ``cfg.tau`` (their positives are empty graphs); warn when that is all
-    of them.  Folds that cannot split the dataset stop the run first."""
-    stratified_folds(dataset, cfg.folds, cfg.seed)
-    certified = sum(rank0_certified(g.adjacency, cfg.tau) for g in dataset.graphs)
-    total = len(dataset.graphs)
-    print(f"lga tau={cfg.tau:g}: {certified} of {total} graphs "
-          f"({certified / max(total, 1):.0%}) certified rank 0")
-    if total and certified == total:
-        print(f"warning: at tau={cfg.tau:g} every LGA positive is the empty graph; "
-              f"a smaller tau keeps spectral components", file=sys.stderr)
+def _prepare(cfg: TrainConfig, runs: list) -> Dataset:
+    """Create ``cfg.out`` and load the dataset once for ``runs``.  For each
+    distinct tau at which a run pretrains with LGA, check that the folds split
+    the dataset, print the share of graphs certified LGA rank 0 (their
+    positives are empty graphs) and warn when that is all of them."""
+    _make_out(cfg.out)
+    dataset = load_dataset(cfg)
+    taus = dict.fromkeys(run.tau for run in runs if run.augmenter == "lga"
+                         and run.mode != "supervised" and run.pretrain_epochs != 0)
+    if taus:  # this also makes the dataset non-empty
+        stratified_folds(dataset, cfg.folds, cfg.seed)
+    for tau in taus:
+        certified = sum(rank0_certified(g.adjacency, tau) for g in dataset.graphs)
+        print(f"lga tau={tau:g}: {certified} of {len(dataset.graphs)} graphs "
+              f"({certified / len(dataset.graphs):.0%}) certified rank 0")
+        if certified == len(dataset.graphs):
+            print(f"warning: at tau={tau:g} every LGA positive is the empty graph; "
+                  f"a smaller tau keeps spectral components", file=sys.stderr)
+    return dataset
 
 
 def cmd_pretrain(args) -> int:
     cfg = build_config(args)
-    _make_out(cfg.out)
-    dataset = load_dataset(cfg)
-    if cfg.augmenter == "lga":
-        _report_rank0(dataset, cfg)
-    pre = pretrain_ssl(cfg, dataset)
+    pre = pretrain_ssl(cfg, _prepare(cfg, [cfg]))
     for fold, curve in enumerate(pre.loss_curves):
-        print(f"fold {fold}: final loss {curve[-1]:.6f}")
+        print(f"fold {fold}: " + (f"final loss {curve[-1]:.6f}" if curve else
+                                  "no epoch ran (pretrain_epochs=0); the encoder is untrained"))
     if cfg.out:
         ckpt = os.path.join(cfg.out, "pretrained.npz")
         save_checkpoint(ckpt, pre.fold_params, pre.fold_heads, cfg.to_dict())
@@ -127,12 +131,13 @@ def cmd_run(args) -> int:
     """train, probe and finetune: one cross-validated run of the
     subcommand's mode, adapting the encoders of ``--checkpoint`` if given."""
     cfg = build_config(args)
-    _make_out(cfg.out)
+    # with --checkpoint nothing is pretrained here, so there is no LGA to report
+    dataset = _prepare(cfg, [] if args.checkpoint else [cfg])
     if args.checkpoint:
         fold_params, fold_heads, config = load_checkpoint(args.checkpoint, expect=cfg)
-        result = adapt(PretrainResult(fold_params, fold_heads, [], config), cfg)
+        result = adapt(PretrainResult(fold_params, fold_heads, [], config), cfg, dataset)
     else:
-        result = cross_validate(cfg)
+        result = cross_validate(cfg, dataset)
     print(summarize(result))
     _save_run(result, cfg)
     return 0
@@ -140,22 +145,17 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = build_config(args)
+    values = [part for part in args.values.split(",") if part.strip()]
     # every run's config is built, so checked, before any work
-    runs = sweep_configs(cfg, args.param, [part for part in args.values.split(",")
-                                           if part.strip()])
-    _make_out(cfg.out)
-    dataset = load_dataset(cfg)
-    if args.param == "tau":
-        for run_cfg in runs:
-            _report_rank0(dataset, run_cfg)
-    results = [cross_validate(run_cfg, dataset) for run_cfg in runs]
-    values = [getattr(run_cfg, ABLATIONS[args.param]) for run_cfg in runs]
-    for value, result in zip(values, results):
+    runs = sweep_configs(cfg, args.param, values)
+    results = ablate(cfg, args.param, values, _prepare(cfg, runs))
+    swept = [getattr(run_cfg, ABLATIONS[args.param]) for run_cfg in runs]
+    for value, result in zip(swept, results):
         print(f"{args.param}={value}: accuracy {result.mean_accuracy:.4f} "
               f"+/- {result.std_accuracy:.4f}")
     if cfg.out:
         path = os.path.join(cfg.out, "ablation.csv")
-        ablation_csv(values, results, path)
+        ablation_csv(swept, results, path)
         print(f"wrote {path}")
     return 0
 

@@ -418,25 +418,25 @@ def _node_features(paths, num_nodes, adjacencies, starts):
     return [a.sum(axis=1, keepdims=True) for a in adjacencies]
 
 
-def write_tu_dataset(ds: Dataset, directory: str, name: str = None):
-    """Write a dataset back out in TU text format (canonical edge order).
+def write_tu_dataset(graphs: list, directory: str, name: str):
+    """Write graphs out as the TU dataset ``name`` (canonical edge order).
 
     Node features are emitted as ``_node_attributes.txt`` so that any
     feature matrix (including one-hot blocks) round-trips through
     ``load_tu_dataset``.  Each value is the ``repr`` of a float64, so
-    integer features print as ``1.0`` and ``-0.0`` keeps its sign.
+    integer features print as ``1.0`` and ``-0.0`` keeps its sign.  The
+    graphs are written as given: a ``Dataset`` checks them when it is built.
     """
-    name = name or ds.name
     os.makedirs(directory, exist_ok=True)
-    offsets = np.cumsum([1] + [g.n for g in ds.graphs])
+    offsets = np.cumsum([1] + [g.n for g in graphs])
     # argwhere lists entries row-major, which is the canonical order
     edges = np.concatenate([np.argwhere(g.adjacency) + offset
-                            for g, offset in zip(ds.graphs, offsets)] or [np.empty((0, 2), int)])
-    rows = np.concatenate([np.asarray(g.features, dtype=np.float64) for g in ds.graphs]
+                            for g, offset in zip(graphs, offsets)] or [np.empty((0, 2), int)])
+    rows = np.concatenate([np.asarray(g.features, dtype=np.float64) for g in graphs]
                           or [np.empty((0, 0))])
     texts = {"A": "%d, %d\n" * len(edges) % tuple(edges.ravel().tolist()),
-             "graph_indicator": "".join(f"{gi}\n" * g.n for gi, g in enumerate(ds.graphs, start=1)),
-             "graph_labels": "".join(f"{0 if g.label is None else g.label}\n" for g in ds.graphs),
+             "graph_indicator": "".join(f"{gi}\n" * g.n for gi, g in enumerate(graphs, start=1)),
+             "graph_labels": "".join(f"{0 if g.label is None else g.label}\n" for g in graphs),
              "node_attributes": "".join(", ".join(map(repr, row)) + "\n" for row in rows.tolist())}
     for suffix, text in texts.items():
         with open(os.path.join(directory, f"{name}_{suffix}.txt"), "w", encoding="utf-8") as fh:
@@ -456,9 +456,9 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> list:
     """
     if k < 2:
         raise ConfigError(f"stratified_folds: k must be >= 2, got {k}")
-    labels = ds.labels()
     if any(g.label is None for g in ds.graphs):
         raise ConfigError("stratified_folds: every graph needs a label")
+    labels = ds.labels()
 
     rng = np.random.default_rng(seed)
     by_class = {}

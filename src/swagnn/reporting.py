@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import os
+import reprlib
 import zipfile
 
 import numpy as np
@@ -24,6 +25,27 @@ _RESULT_FIELDS = [f.name for f in dataclasses.fields(RunResult)
                   if f.name != "fold_states"]
 
 
+def _number(value) -> bool:
+    # bool is not a number here, although Python counts it as an int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_number, value))
+
+
+# what each result field must hold in JSON; every list has one entry per fold
+_RESULT_TYPES = {
+    "config": ("a JSON object", lambda value: isinstance(value, dict)),
+    "mode": ("a string", lambda value: isinstance(value, str)),
+    **dict.fromkeys(("mean_accuracy", "std_accuracy", "wall_time"), ("a number", _number)),
+    **dict.fromkeys(("fold_accuracies", "val_accuracies", "train_accuracies", "best_epochs",
+                     "fold_seconds"), ("a list of numbers", _numbers)),
+    **dict.fromkeys(("loss_curves", "val_curves"),
+                    ("a list of lists of numbers",
+                     lambda value: isinstance(value, list) and all(map(_numbers, value))))}
+
+
 # ---------------------------------------------------------------------------
 # run results
 # ---------------------------------------------------------------------------
@@ -35,6 +57,10 @@ def save_result(result: RunResult, path: str):
 
 
 def load_result(path: str) -> RunResult:
+    """The RunResult that ``save_result`` wrote to ``path``, without fold
+    states.  A file that cannot be read, is not JSON, lacks a field or
+    holds a field of the wrong JSON type (``_RESULT_TYPES``), or per-fold
+    lists of different lengths, raises LoadError naming the file and field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -47,6 +73,14 @@ def load_result(path: str) -> RunResult:
     missing = set(_RESULT_FIELDS) - set(payload)
     if missing:
         raise LoadError(f"{path}: missing result fields {sorted(missing)}")
+    for name, (kind, check) in _RESULT_TYPES.items():
+        if not check(payload[name]):
+            raise LoadError(f"{path}: {name} must be {kind}, got {reprlib.repr(payload[name])}")
+    folds = len(payload["fold_accuracies"])
+    for name in _RESULT_FIELDS:
+        if isinstance(payload[name], list) and len(payload[name]) != folds:
+            raise LoadError(f"{path}: {name} has {len(payload[name])} entries "
+                            f"but fold_accuracies has {folds}")
     return RunResult(**{name: payload[name] for name in _RESULT_FIELDS})
 
 
@@ -210,8 +244,7 @@ def augment_dataset(cfg: TrainConfig, dataset: Dataset = None,
         augmented.append(augmenter.augment(g, index, epoch=0))
         kept_ranks.append(augmenter.kept_rank(g)
                           if hasattr(augmenter, "kept_rank") else None)
-    write_tu_dataset(Dataset(augmented, ds.num_classes, ds.feature_dim, ds.name),
-                     out, ds.name)
+    write_tu_dataset(augmented, out, ds.name)
     manifest = {"dataset": ds.name,
                 "augmenter": cfg.augmenter,
                 "seed": cfg.seed,

@@ -447,7 +447,7 @@ def cross_validate(cfg: TrainConfig, dataset: Dataset = None) -> RunResult:
 def sweep_configs(cfg: TrainConfig, parameter: str, values: list) -> list:
     """One run config per swept value, each cast to the type of the field
     it sets, and every one built (so checked by ``TrainConfig``) before
-    any run starts.
+    any run starts.  It warns about nothing, so a caller can check a sweep.
 
     A tau sweep exercises the augmentation pipeline (LGA pretrain +
     adapt); a num_hidden sweep honours the configured mode.
@@ -467,16 +467,16 @@ def sweep_configs(cfg: TrainConfig, parameter: str, values: list) -> list:
             raise ConfigError(f"ablate: cannot read {value!r} as a {parameter} value "
                               f"({cast.__name__})") from exc
         runs.append(dataclasses.replace(cfg, mode=mode, **fixed, **{name: value}))
-    for run in runs:
-        if parameter == "tau" and not (TAU_GUIDANCE[0] <= run.tau <= TAU_GUIDANCE[1]):
-            warnings.warn(f"tau={run.tau} outside the guidance range {list(TAU_GUIDANCE)}")
     return runs
 
 
 def ablate(cfg: TrainConfig, parameter: str, values: list,
            dataset: Dataset = None) -> list:
-    """One full run per value of ``sweep_configs``, with shared folds and
-    seeds; a bad value fails before the dataset loads or any run starts."""
+    """One full run per config of ``sweep_configs``, with shared folds and seeds, after one
+    warning per tau outside ``TAU_GUIDANCE``; a bad value fails before any of it."""
     runs = sweep_configs(cfg, parameter, values)
+    for run in runs:
+        if parameter == "tau" and not (TAU_GUIDANCE[0] <= run.tau <= TAU_GUIDANCE[1]):
+            warnings.warn(f"tau={run.tau} outside the guidance range {list(TAU_GUIDANCE)}")
     ds = dataset if dataset is not None else load_dataset(cfg)
     return [cross_validate(run, ds) for run in runs]

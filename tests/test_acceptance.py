@@ -15,7 +15,7 @@ import pytest
 from swagnn import autodiff as ad
 from swagnn.augment import (LgaAugmenter, generate_sbm, sbm_probability_matrix,
                             usvt_estimate)
-from swagnn.graphs import Dataset, Graph, degree_features, write_tu_dataset
+from swagnn.graphs import Graph, degree_features, write_tu_dataset
 from swagnn.kernel import (HiddenGraph, KernelConfig, SwagParams, encode_batch,
                            exact_rw_kernel, hidden_adjacency, smoothed_kernel,
                            swag_encode)
@@ -249,7 +249,7 @@ def test_criterion_8_generic_tu_pipeline_runs_end_to_end(tmp_path):
             g = Graph(n, adj, np.zeros((n, 1)), label)
             g.features = degree_features(g)
             graphs.append(g)
-    write_tu_dataset(Dataset(graphs, 2, 1, "synthetic"), str(tmp_path))
+    write_tu_dataset(graphs, str(tmp_path), "synthetic")
     cfg = TrainConfig(dataset="synthetic", data_dir=str(tmp_path),
                       hidden_graphs=2, hidden_nodes=4, hidden_dim=4,
                       walk_len=2, epochs=3, folds=2, seed=0)

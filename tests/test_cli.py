@@ -169,6 +169,23 @@ def test_pretrain_honours_pretrain_epochs(tmp_path):
     assert [len(curve) for curve in read_json(os.path.join(out, "loss_curves.json"))] == [1, 1]
 
 
+def test_pretrain_with_no_epochs_writes_the_untrained_encoders(tmp_path, capsys):
+    out = str(tmp_path / "pre")
+    assert run_cli("pretrain", *TINY, "--pretrain-epochs", "0", "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("no epoch ran") == 2
+    assert "certified rank 0" not in captured.out and captured.err == ""
+    assert read_json(os.path.join(out, "loss_curves.json")) == [[], []]
+    # the untrained encoders are the ones a probe with no pretraining starts from
+    probe = str(tmp_path / "probe")
+    assert run_cli("probe", *TINY, "--checkpoint", os.path.join(out, "pretrained.npz"),
+                   "--out", probe) == 0
+    untrained = str(tmp_path / "untrained")
+    assert run_cli("probe", *TINY, "--pretrain-epochs", "0", "--out", untrained) == 0
+    assert (read_json(os.path.join(probe, "result.json"))["loss_curves"]
+            == read_json(os.path.join(untrained, "result.json"))["loss_curves"])
+
+
 @pytest.mark.parametrize("flags, recorded", [([], None), (["--pretrain-epochs", "2"], 2)])
 def test_result_records_pretrain_epochs(tmp_path, flags, recorded):
     out = str(tmp_path / "probe")
@@ -276,6 +293,37 @@ def test_ablate_tau_reports_certified_rank0_share(capsys):
     assert captured.err.count("every LGA positive is the empty graph") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe", *TINY, "--pretrain-epochs", "1"],
+    ["finetune", *TINY, "--pretrain-epochs", "1"],
+    ["ablate", *TINY, "--pretrain-epochs", "1", "--param", "num_hidden", "--values", "2,3"]],
+    ids=lambda argv: argv[0])
+def test_every_lga_pretraining_run_reports_certified_rank0_share(tmp_path, capsys, argv):
+    # ablate takes the mode from the config file; probe and finetune set their own
+    config = tmp_path / "finetune.json"
+    config.write_text(json.dumps({"mode": "finetune"}))
+    assert run_cli(*argv, "--config", str(config), "--augmenter", "lga") == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("lga tau=2.02: 8 of 8 graphs (100%) certified rank 0") == 1
+    assert captured.err.count("every LGA positive is the empty graph") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", *TINY],
+    ["probe", *TINY, "--checkpoint"],
+    ["pretrain", *TINY, "--pretrain-epochs", "0"],
+    ["finetune", *TINY, "--pretrain-epochs", "0"],
+    ["ablate", *TINY, "--pretrain-epochs", "0", "--param", "tau", "--values", "2.02"]],
+    ids=["train", "probe-checkpoint", "pretrain-0", "finetune-0", "ablate-tau-0"])
+def test_a_run_without_lga_pretraining_reports_nothing(capsys, tiny_checkpoint, argv):
+    if argv[-1] == "--checkpoint":
+        argv = [*argv, tiny_checkpoint]
+    assert run_cli(*argv, "--augmenter", "lga") == 0
+    captured = capsys.readouterr()
+    assert "certified rank 0" not in captured.out
+    assert captured.err == ""
+
+
 def test_ablate_writes_csv(tmp_path, capsys):
     out = str(tmp_path / "ab")
     assert run_cli("ablate", *TINY, "--epochs", "2", "--param", "num_hidden",
@@ -372,12 +420,55 @@ def test_report_malformed_json_is_a_load_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: not a JSON file")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mean_accuracy", "high", "mean_accuracy must be a number, got 'high'"),
+    ("wall_time", True, "wall_time must be a number, got True"),
+    ("fold_accuracies", "x", "fold_accuracies must be a list of numbers, got 'x'"),
+    ("fold_accuracies", None, "fold_accuracies must be a list of numbers, got None"),
+    ("train_accuracies", [1.0, "x"], "train_accuracies must be a list of numbers"),
+    ("loss_curves", [[0.5], 0.5], "loss_curves must be a list of lists of numbers"),
+    ("config", [], "config must be a JSON object, got []"),
+    ("mode", 1, "mode must be a string, got 1"),
+    ("best_epochs", [], "best_epochs has 0 entries but fold_accuracies has 2"),
+    ("fold_accuracies", [1.0], "loss_curves has 2 entries but fold_accuracies has 1")],
+    ids=["text-mean", "bool-wall-time", "text-folds", "null-folds", "text-in-list",
+         "number-curve", "list-config", "number-mode", "no-best-epochs", "one-fold-of-two"])
+def test_report_on_a_malformed_result_field_is_a_load_error(tmp_path, capsys, field, value,
+                                                           message):
+    result = RunResult([1.0, 0.5], 0.75, 0.25, 0.1, {}, "supervised", [[0.5], [0.6]],
+                       [[1.0], [0.5]], [1.0, 0.5], [1.0, 1.0], [0, 0], [0.1, 0.1])
+    path = tmp_path / "result.json"
+    save_result(result, str(path))
+    path.write_text(json.dumps({**read_json(path), field: value}))
+    assert run_cli("report", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: {message}")
+    assert captured.out == ""
+
+
+def test_report_on_a_json_list_is_a_load_error(tmp_path, capsys):
+    path = tmp_path / "result.json"
+    path.write_text("[1, 2]")
+    assert run_cli("report", str(path)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: expected a JSON object of result fields")
+
+
 def write_not_npz(path, checkpoint):
     path.write_text("not an archive\n")
 
 
 def write_without_config(path, checkpoint):
     np.savez(path, weights=np.ones(3))
+
+
+def write_npy(path, checkpoint):
+    with open(path, "wb") as fh:  # np.save would append .npy to the name
+        np.save(fh, np.ones(3))
+
+
+def write_config_list(path, checkpoint):
+    np.savez(path, __config__=np.array("[1, 2]"))
 
 
 def write_foreign_fold_key(path, checkpoint):
@@ -400,7 +491,9 @@ def rewriting(key, change):
 
 @pytest.mark.parametrize("write, message", [
     pytest.param(write_not_npz, "not a readable npz archive", id="not-npz"),
+    pytest.param(write_npy, "not an npz archive", id="npy"),
     pytest.param(write_without_config, "no __config__ entry", id="no-config"),
+    pytest.param(write_config_list, "__config__ is not a JSON object", id="config-not-object"),
     pytest.param(write_foreign_fold_key, "no fold parameters found", id="foreign-fold-key"),
     pytest.param(rewriting("fold0/enc/hg0_features", None),
                  "fold 0 has no 'hg0_features' entry", id="no-hidden-features"),
@@ -429,6 +522,22 @@ def test_unreadable_checkpoint_is_a_load_error(tmp_path, capsys, tiny_checkpoint
                    "--out", str(tmp_path / "hidden")) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
     assert not (tmp_path / "hidden").exists()
+
+
+def test_a_bank_other_than_the_archives_config_is_a_load_error(tmp_path, capsys,
+                                                               tiny_checkpoint):
+    # fold 0 loses one of its two hidden graphs; the stored config still says two
+    path = tmp_path / "bad.npz"
+    with np.load(tiny_checkpoint) as archive:
+        entries = {key: archive[key] for key in archive.files
+                   if not key.startswith("fold0/enc/hg1_")}
+    np.savez(path, **entries)
+    out = tmp_path / "probe"
+    assert run_cli("probe", *TINY, "--checkpoint", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: fold 0 holds 1 hidden graphs of 4 nodes with 8 features, "
+        f"not the 2 of 4 with 8 its config gives")
+    assert not (out / "result.json").exists()
 
 
 @pytest.mark.parametrize("tau", ["nan", "-1"])

@@ -43,7 +43,7 @@ def datasets(draw, max_graphs=5, max_nodes=6):
 @given(datasets())
 def test_tu_write_load_round_trip(ds):
     with tempfile.TemporaryDirectory() as directory:
-        write_tu_dataset(ds, directory)
+        write_tu_dataset(ds.graphs, directory, ds.name)
         loaded = load_tu_dataset(directory, ds.name)
     # labels come back as their rank among the labels that occur
     used = sorted({g.label for g in ds.graphs})

@@ -360,7 +360,7 @@ def test_load_tu_rejects_ragged_attributes(tmp_path):
 def test_tu_round_trip(tmp_path):
     ds = load_tu_dataset(write_fixture(tmp_path, with_attrs=True), "TOY")
     out = tmp_path / "out"
-    write_tu_dataset(ds, str(out), "TOY")
+    write_tu_dataset(ds.graphs, str(out), "TOY")
     again = load_tu_dataset(str(out), "TOY")
     assert len(again) == len(ds)
     for g, h in zip(ds.graphs, again.graphs):
@@ -389,7 +389,7 @@ def test_write_tu_golden_files(tmp_path):
         Graph(2, _adjacency(2, [(0, 1)]),
               np.array([[0.1, 1e300, -2.5], [1 / 3, 5e-324, 0.0]]), 2),
     ]
-    write_tu_dataset(Dataset(graphs, 3, 3, "GOLD"), str(tmp_path))
+    write_tu_dataset(graphs, str(tmp_path), "GOLD")
     expected = {
         "A": "1, 2\n2, 1\n2, 3\n3, 2\n6, 7\n6, 8\n7, 6\n7, 8\n8, 6\n8, 7\n9, 10\n10, 9\n",
         "graph_indicator": "1\n1\n1\n1\n2\n3\n3\n3\n4\n4\n",
@@ -405,7 +405,7 @@ def test_write_tu_golden_files(tmp_path):
 
 
 def test_write_tu_empty_dataset(tmp_path):
-    write_tu_dataset(Dataset([], 1, 1, "EMPTY"), str(tmp_path))
+    write_tu_dataset([], str(tmp_path), "EMPTY")
     for key in ("A", "graph_indicator", "graph_labels", "node_attributes"):
         assert (tmp_path / f"EMPTY_{key}.txt").read_bytes() == b""
 

@@ -9,8 +9,8 @@ from swagnn.errors import ConfigError, LoadError
 from swagnn.graphs import Dataset, Graph, load_tu_dataset
 from swagnn import autodiff as ad
 from swagnn.kernel import HiddenGraph, KernelConfig, SwagParams, hidden_adjacency
-from swagnn.reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
-                              fold_csv, load_checkpoint, load_result,
+from swagnn.reporting import (_RESULT_FIELDS, _RESULT_TYPES, ablation_csv, augment_dataset,
+                              export_hidden_graphs, fold_csv, load_checkpoint, load_result,
                               save_checkpoint, save_result, summarize)
 from swagnn.ssl import ProjectionHead
 from swagnn.training import (RunResult, TrainConfig, make_toy_dataset,
@@ -39,6 +39,10 @@ def test_result_round_trip(toy_result, tmp_path):
     assert back.config == toy_result.config
     assert back.best_epochs == toy_result.best_epochs
     assert back.fold_states is None
+
+
+def test_load_result_checks_the_type_of_every_field():
+    assert set(_RESULT_TYPES) == set(_RESULT_FIELDS)
 
 
 def test_load_result_missing_file(tmp_path):

@@ -1,7 +1,7 @@
 """The runtime depends on numpy alone: every module of the package imports
 only numpy, the package itself and the standard library, and the project
-metadata lists numpy as its one dependency.  Every name a module imports
-is also used in it."""
+metadata lists numpy as its one dependency.  Every name a module of the
+package or a test file imports is also used in it."""
 
 import ast
 import os
@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TESTS)
 PACKAGE = os.path.join(ROOT, "src", "swagnn")
 ALLOWED = {"numpy", "swagnn"} | set(sys.stdlib_module_names)
 
@@ -60,10 +61,20 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert not foreign, foreign
 
 
+def unused_in(directory: str) -> list:
+    """Every unused import of the Python files in ``directory``."""
+    return [f"{name}:{line} imports {imported} and never uses it"
+            for name in sorted(os.listdir(directory)) if name.endswith(".py")
+            for line, imported in unused_imports(os.path.join(directory, name))]
+
+
 def test_package_uses_every_name_it_imports():
-    unused = [f"{name}:{line} imports {imported} and never uses it"
-              for name in SOURCES
-              for line, imported in unused_imports(os.path.join(PACKAGE, name))]
+    unused = unused_in(PACKAGE)
+    assert not unused, unused
+
+
+def test_tests_use_every_name_they_import():
+    unused = unused_in(TESTS)
     assert not unused, unused
 
 

@@ -11,8 +11,6 @@ from swagnn.errors import ConfigError, TrainingError
 from swagnn.graphs import Dataset, FoldSplit, Graph, degree_features
 from swagnn.training import (
     PretrainResult,
-    Predictor,
-    RunResult,
     TrainConfig,
     _batch_indices,
     _pretrain_fold,
@@ -129,6 +127,13 @@ def test_toy_dataset_shape():
     ds = make_toy_dataset()
     assert len(ds) == 8 and ds.num_classes == 2
     assert sorted(ds.labels().tolist()) == [0] * 4 + [1] * 4
+
+
+def test_an_unlabeled_graph_is_a_config_error():
+    graphs = make_toy_dataset().graphs
+    graphs[5].label = None
+    with pytest.raises(ConfigError, match="stratified_folds: every graph needs a label"):
+        train_supervised(small_cfg(epochs=1), Dataset(graphs, 2, 1, "toy"))
 
 
 # ---------------------------------------------------------------------------
