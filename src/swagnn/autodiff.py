@@ -388,17 +388,17 @@ class Adam:
     same operations, in the same order, as a per-tensor update, so the
     same bits.  A ``grad`` assigned directly is copied in (``None`` counts
     as zero), and a ``data`` rebound by the caller is copied in and bound
-    to its view again.
+    to its view again.  ``lr`` is the one setting: the moment decays
+    ``BETA1`` and ``BETA2`` and the denominator's ``EPS`` are fixed.
     """
 
-    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=0.01):
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ContractError("Adam: a parameter is listed twice")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         # separate buffers: a kept parameter keeps only its data and grad alive
         size = sum(p.data.size for p in self.params)
@@ -432,18 +432,18 @@ class Adam:
     def step(self):
         self._gather()
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         g, m, v, work, denom = self.grad, self.m, self.v, self._work, self._denom
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
-        np.multiply(m, self.beta1, out=m)
-        np.add(m, np.multiply(g, 1.0 - self.beta1, out=work), out=m)
-        np.multiply(v, self.beta2, out=v)
+        np.multiply(m, self.BETA1, out=m)
+        np.add(m, np.multiply(g, 1.0 - self.BETA1, out=work), out=m)
+        np.multiply(v, self.BETA2, out=v)
         np.multiply(g, g, out=work)
-        np.add(v, np.multiply(work, 1.0 - self.beta2, out=work), out=v)
+        np.add(v, np.multiply(work, 1.0 - self.BETA2, out=work), out=v)
         # data -= lr (m / bc1) / (sqrt(v / bc2) + eps)
         np.multiply(np.divide(m, bc1, out=work), self.lr, out=work)
-        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), self.eps, out=denom)
+        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), self.EPS, out=denom)
         np.subtract(self.data, np.divide(work, denom, out=work), out=self.data)
 
     def zero_grad(self):

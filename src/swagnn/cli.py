@@ -11,7 +11,6 @@ override it.  A run's output directory is made before the run starts.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -22,11 +21,9 @@ from .graphs import Dataset, stratified_folds
 from .reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
                         fold_csv, load_checkpoint, load_result, save_checkpoint,
                         save_result, summarize)
-from .training import (ABLATIONS, ADAPT_MODES, CHOICES, FIELD_TYPES, PretrainResult,
+from .training import (ABLATIONS, ADAPT_MODES, CHOICES, FIELD_TYPES, FIELDS, PretrainResult,
                        TrainConfig, ablate, adapt, cross_validate, load_dataset,
                        pretrain_ssl, sweep_configs)
-
-_CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
 
 
 def _config_parent() -> argparse.ArgumentParser:
@@ -35,17 +32,17 @@ def _config_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="FILE",
                    help="JSON file with TrainConfig fields; flags override it")
-    for f in dataclasses.fields(TrainConfig):
-        if f.name != "mode":
-            p.add_argument("--" + f.name.replace("_", "-"), type=FIELD_TYPES[f.type][1],
-                           choices=CHOICES.get(f.name))
+    for name, annotation in FIELDS.items():
+        if name != "mode":
+            p.add_argument("--" + name.replace("_", "-"), type=FIELD_TYPES[annotation][1],
+                           choices=CHOICES.get(name))
     return p
 
 
-def build_config(args: argparse.Namespace, mode: str = None) -> TrainConfig:
-    """Defaults, then config file values, then explicit flags and the mode
-    a subcommand sets (or ``mode``)."""
-    values = TrainConfig().to_dict()
+def build_config(args: argparse.Namespace) -> TrainConfig:
+    """Config file values, overridden by every field ``args`` sets (flags and
+    the subcommand's mode); ``TrainConfig.from_dict`` defaults the rest."""
+    values = {}
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -54,16 +51,14 @@ def build_config(args: argparse.Namespace, mode: str = None) -> TrainConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {args.config}: expected a JSON object")
-        unknown = set(loaded) - set(_CONFIG_FIELDS)
+        unknown = set(loaded) - set(FIELDS)
         if unknown:
             raise ConfigError(f"config {args.config}: unknown fields {sorted(unknown)}")
-        values.update(loaded)
-    for name in _CONFIG_FIELDS:
+        values = loaded
+    for name in FIELDS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    if mode is not None:
-        values["mode"] = mode
     return TrainConfig.from_dict(values)
 
 
@@ -93,8 +88,8 @@ def _save_run(result, cfg: TrainConfig):
 def _prepare(cfg: TrainConfig, runs: list) -> Dataset:
     """Create ``cfg.out`` and load the dataset once for ``runs``.  For each
     distinct tau at which a run pretrains with LGA, check that the folds split
-    the dataset, print the share of graphs certified LGA rank 0 (their
-    positives are empty graphs) and warn when that is all of them."""
+    the dataset and report its rank-0 share (``_report_rank0``).  ``augment``
+    passes no run: it needs no folds, and reports after it has written."""
     _make_out(cfg.out)
     dataset = load_dataset(cfg)
     taus = dict.fromkeys(run.tau for run in runs if run.augmenter == "lga"
@@ -102,13 +97,19 @@ def _prepare(cfg: TrainConfig, runs: list) -> Dataset:
     if taus:  # this also makes the dataset non-empty
         stratified_folds(dataset, cfg.folds, cfg.seed)
     for tau in taus:
-        certified = sum(rank0_certified(g.adjacency, tau) for g in dataset.graphs)
-        print(f"lga tau={tau:g}: {certified} of {len(dataset.graphs)} graphs "
-              f"({certified / len(dataset.graphs):.0%}) certified rank 0")
-        if certified == len(dataset.graphs):
-            print(f"warning: at tau={tau:g} every LGA positive is the empty graph; "
-                  f"a smaller tau keeps spectral components", file=sys.stderr)
+        _report_rank0(dataset, tau)
     return dataset
+
+
+def _report_rank0(dataset: Dataset, tau: float):
+    """Print the share of graphs certified LGA rank 0 at ``tau`` (their
+    positives are empty graphs) and warn when that is all of them."""
+    certified = sum(rank0_certified(g.adjacency, tau) for g in dataset.graphs)
+    print(f"lga tau={tau:g}: {certified} of {len(dataset.graphs)} graphs "
+          f"({certified / len(dataset.graphs):.0%}) certified rank 0")
+    if certified == len(dataset.graphs):
+        print(f"warning: at tau={tau:g} every LGA positive is the empty graph; "
+              f"a smaller tau keeps spectral components", file=sys.stderr)
 
 
 def cmd_pretrain(args) -> int:
@@ -162,8 +163,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = build_config(args)
-    _make_out(cfg.out)
-    manifest = augment_dataset(cfg)
+    dataset = _prepare(cfg, [])
+    manifest = augment_dataset(cfg, dataset)
+    if cfg.augmenter == "lga":
+        _report_rank0(dataset, cfg.tau)
     print(f"wrote {manifest}")
     return 0
 

@@ -137,9 +137,9 @@ def load_checkpoint(path: str, expect: TrainConfig = None):
     field and on the seed and fold count that fix the splits (so no test
     graph of the new run was a training graph of the old one), or
     ConfigError names the first that differs.  A file that is not such an
-    archive, an entry that is missing or malformed, or (with ``expect``)
-    a hidden-graph bank of another size raises LoadError naming the file
-    and fold."""
+    archive, an entry that is missing or malformed, fold numbers other than
+    0 to K-1 (a gap), or (with ``expect``) a hidden-graph bank of another
+    size raises LoadError naming the file and fold."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -169,8 +169,10 @@ def load_checkpoint(path: str, expect: TrainConfig = None):
         name = key.split("/", 1)[0]
         if name.startswith("fold") and name[4:].isdigit():
             folds.add(int(name[4:]))
+    if sorted(folds) != list(range(len(folds))):
+        raise LoadError(f"{path}: holds folds {sorted(folds)}, not folds 0 to {len(folds) - 1}")
     fold_params, fold_heads = [], []
-    for fold in sorted(folds):
+    for fold in range(len(folds)):
         enc_prefix, head_prefix = f"fold{fold}/enc/", f"fold{fold}/head/"
         enc_state = {key[len(enc_prefix):]: value
                      for key, value in entries.items() if key.startswith(enc_prefix)}

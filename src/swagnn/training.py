@@ -110,13 +110,12 @@ class TrainConfig:
             raise ConfigError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ConfigError(f"TrainConfig: lr must be positive and finite, got {self.lr}")
-        if not (self.tau > 0):
-            raise ConfigError(f"TrainConfig: tau must be positive, got {self.tau}")
         if self.seed < 0:
             raise ConfigError(f"TrainConfig: seed must be >= 0, got {self.seed}")
-        # build the encoder and augmenter configs once: they check their fields
+        # the encoder config and every augmenter, chosen or not, check their fields
         self.kernel_config()
-        self.make_augmenter()
+        for build in AUGMENTERS.values():
+            build(self.tau, self.drop_rate, self.seed)
 
     def kernel_config(self) -> KernelConfig:
         return KernelConfig(num_hidden=self.hidden_graphs,
@@ -135,15 +134,19 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(values) - set(types)
+        """Check each value's JSON type (``FIELD_TYPES``); unset fields keep their defaults."""
+        unknown = set(values) - set(FIELDS)
         if unknown:
             raise ConfigError(f"TrainConfig: unknown fields {sorted(unknown)}")
         for name, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[types[name]][0]):
-                raise ConfigError(f"TrainConfig: {name} must be of type {types[name]}, "
+            if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[FIELDS[name]][0]):
+                raise ConfigError(f"TrainConfig: {name} must be of type {FIELDS[name]}, "
                                   f"got {value!r}")
         return cls(**values)
+
+
+# each TrainConfig field -> its annotation, as text: the one walk of its fields
+FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
 @dataclass
@@ -429,13 +432,13 @@ def adapt(pretrained: PretrainResult, cfg: TrainConfig,
 
 def cross_validate(cfg: TrainConfig, dataset: Dataset = None) -> RunResult:
     """One cross-validated run of ``cfg.mode``: probe and finetune first
-    pretrain each fold's encoder for ``cfg.pretrain_epochs`` epochs,
+    pretrain each fold's encoder with ``cfg`` itself for ``pretrain_epochs``,
     supervised trains from scratch.  The dataset is loaded at most once,
     and the folds are checked before any pretraining."""
     ds = dataset if dataset is not None else load_dataset(cfg)
     if cfg.mode in ADAPT_MODES:
         _validated_folds(ds, cfg)
-        pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain"), ds)
+        pre = pretrain_ssl(cfg, ds)
         return adapt(pre, cfg, ds)
     return train_supervised(cfg, ds)
 
@@ -447,18 +450,21 @@ def cross_validate(cfg: TrainConfig, dataset: Dataset = None) -> RunResult:
 def sweep_configs(cfg: TrainConfig, parameter: str, values: list) -> list:
     """One run config per swept value, each cast to the type of the field
     it sets, and every one built (so checked by ``TrainConfig``) before
-    any run starts.  It warns about nothing, so a caller can check a sweep.
+    any run starts.  An empty ``values`` is a ConfigError.  It warns about
+    nothing, so a caller can check a sweep.
 
     A tau sweep exercises the augmentation pipeline (LGA pretrain +
     adapt); a num_hidden sweep honours the configured mode.
     """
     if parameter not in ABLATIONS:
         raise ConfigError(f"ablate: unknown parameter {parameter!r}")
+    if not values:
+        raise ConfigError(f"ablate: no {parameter} value to sweep")
     name = ABLATIONS[parameter]
-    cast = FIELD_TYPES[next(f.type for f in dataclasses.fields(cfg) if f.name == name)][1]
+    cast = FIELD_TYPES[FIELDS[name]][1]
     fixed = {"augmenter": "lga"} if parameter == "tau" else {}
-    mode = (cfg.mode if cfg.mode in ADAPT_MODES else
-            "finetune" if parameter == "tau" else "supervised")
+    fixed["mode"] = (cfg.mode if cfg.mode in ADAPT_MODES else
+                     "finetune" if parameter == "tau" else "supervised")
     runs = []
     for value in values:
         try:
@@ -466,7 +472,7 @@ def sweep_configs(cfg: TrainConfig, parameter: str, values: list) -> list:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"ablate: cannot read {value!r} as a {parameter} value "
                               f"({cast.__name__})") from exc
-        runs.append(dataclasses.replace(cfg, mode=mode, **fixed, **{name: value}))
+        runs.append(dataclasses.replace(cfg, **fixed, **{name: value}))
     return runs
 
 

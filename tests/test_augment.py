@@ -161,10 +161,10 @@ def block_diagonal(*blocks):
 
 
 @pytest.mark.parametrize("a", [
-    np.zeros((1, 1)), np.array([[3.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.zeros((0, 0)), np.zeros((1, 1)), np.array([[3.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
     np.array([[2.0, 0.0], [0.0, -1.0]]),
     block_diagonal(complete_graph(3).adjacency, cycle(4), np.zeros((2, 2))), np.zeros((5, 5)),
-], ids=["1-zero", "1", "2", "2-diagonal", "block-diagonal", "zero"])
+], ids=["empty", "1-zero", "1", "2", "2-diagonal", "block-diagonal", "zero"])
 def test_eig_small_and_block_diagonal_inputs(a):
     assert_matches_eigh(a)
     for threshold in (0.5, 1.5, 2.5):
@@ -337,6 +337,11 @@ def test_usvt_complete_graph_dominant_component():
 
 def test_usvt_zero_matrix():
     np.testing.assert_array_equal(usvt_estimate(np.zeros((5, 5)), 0.5), np.zeros((5, 5)))
+
+
+def test_usvt_of_an_empty_matrix_is_empty_with_rank_0():
+    theta, rank = usvt_with_rank(np.zeros((0, 0)), 0.5)
+    assert theta.shape == (0, 0) and rank == 0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -578,6 +583,12 @@ def test_edge_drop_extremes():
     empty = edge_drop_baseline(g, 1.0, seed=0)
     assert empty.adjacency.sum() == 0
     assert empty.features is g.features
+
+
+@pytest.mark.parametrize("rate", [2.0, -0.1, math.nan])
+def test_edge_drop_rejects_a_rate_outside_0_1(rate):
+    with pytest.raises(ConfigError, match=r"edge_drop_baseline: rate .* outside \[0,1\]"):
+        edge_drop_baseline(complete_graph(3), rate, seed=0)
 
 
 def test_edge_drop_expected_count():

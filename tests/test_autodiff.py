@@ -215,6 +215,23 @@ def test_shape_mismatch_raises():
         a * ad.parameter(np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ad.transpose(ad.parameter(np.ones(3))), "transpose: expected a matrix"),
+    (lambda: ad.trace_product(ad.parameter(np.ones((2, 3))), ad.parameter(np.ones((2, 3)))),
+     r"trace_product: incompatible shapes \(2, 3\) x \(2, 3\)"),
+    (lambda: ad.log_softmax(ad.parameter(np.ones(3))), "log_softmax: expected a matrix"),
+    (lambda: ad.l2_normalize(ad.parameter(np.ones(3))), "l2_normalize: expected a matrix"),
+    (lambda: ad.backward(np.float64(1.0)), "backward: loss must be a Tensor"),
+    (lambda: ad.finite_diff_check(lambda: ad.constant(np.array(1.0)),
+                                  [ad.constant(np.ones(2))]),
+     "finite_diff_check: all params must require grad")],
+    ids=["transpose", "trace_product", "log_softmax", "l2_normalize", "backward",
+         "finite_diff_check"])
+def test_an_input_outside_the_contract_is_a_contract_error(call, message):
+    with pytest.raises(ContractError, match=message):
+        call()
+
+
 def test_gradient_linearity():
     rng = np.random.default_rng(11)
     data = rng.standard_normal(5)

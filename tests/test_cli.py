@@ -113,11 +113,13 @@ def test_config_file_valid_types_load(tmp_path):
 
     class Args:
         config = str(cfg_path)
-    cfg = build_config(Args(), mode="supervised")
+        mode = "supervised"
+    cfg = build_config(Args())
     assert (cfg.lr, cfg.seed, cfg.folds, cfg.out) == (1, 2, 2, None)
 
 
-@pytest.mark.parametrize("flag, value", [("--lr", "inf"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag, value", [("--lr", "inf"), ("--seed", "-1"), ("--batch-size", "0"),
+                                         ("--hidden-dim", "0"), ("--drop-rate", "2")])
 def test_train_rejects_bad_lr_and_seed(tmp_path, capsys, flag, value):
     out = str(tmp_path / "run")
     # one Adam step per fold: an infinite lr used to finish with NaN weights
@@ -146,7 +148,8 @@ def test_malformed_tu_file_is_a_diagnostic(tmp_path, capsys):
 def test_build_config_defaults():
     class Args:
         config = None
-    cfg = build_config(Args(), mode="supervised")
+        mode = "supervised"
+    cfg = build_config(Args())
     assert cfg.hidden_graphs == 16
     assert cfg.epochs == 200
     assert cfg.mode == "supervised"
@@ -342,7 +345,7 @@ def test_ablate_bad_values(capsys):
 
 
 @pytest.mark.parametrize("param, values", [("num_hidden", "2,0"), ("num_hidden", "2,x"),
-                                           ("tau", "0.5,-1")])
+                                           ("tau", "0.5,-1"), ("tau", ",")])
 def test_ablate_checks_every_value_before_any_work(tmp_path, capsys, param, values):
     out = tmp_path / "ab"
     assert run_cli("ablate", *TINY, "--param", param, "--values", values,
@@ -370,6 +373,23 @@ def test_augment_identity(tmp_path):
     assert os.path.isfile(os.path.join(out, "toy_A.txt"))
     manifest = read_json(os.path.join(out, "toy_augmentation.json"))
     assert manifest["augmenter"] == "identity"
+
+
+@pytest.mark.parametrize("augmenter", ["lga", "edge-drop", "identity"])
+def test_augment_reports_the_certified_rank0_share_of_lga_only(tmp_path, capsys, augmenter):
+    # the toy set at the default --folds 10: augment splits nothing, so checks no fold
+    out = tmp_path / "aug"
+    assert run_cli("augment", "--dataset", "toy", "--augmenter", augmenter, "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    lga = augmenter == "lga"
+    assert ("lga tau=2.02: 8 of 8 graphs (100%) certified rank 0\n" in captured.out) == lga
+    assert ("every LGA positive is the empty graph" in captured.err) == lga
+    assert captured.out.endswith(f"wrote {out}/toy_augmentation.json\n")
+    # without --out it prints its error line and nothing else
+    assert run_cli("augment", "--dataset", "toy", "--augmenter", augmenter) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: augment_dataset: an output directory is required\n"
 
 
 def test_augment_requires_out(capsys):
@@ -522,6 +542,20 @@ def test_unreadable_checkpoint_is_a_load_error(tmp_path, capsys, tiny_checkpoint
                    "--out", str(tmp_path / "hidden")) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
     assert not (tmp_path / "hidden").exists()
+
+
+def test_a_checkpoint_with_a_gap_in_its_fold_numbers_is_a_load_error(tmp_path, capsys,
+                                                                     tiny_checkpoint):
+    # fold 1's encoder saved as fold 3: loaded in order, it would adapt fold 1's split
+    path = tmp_path / "gap.npz"
+    with np.load(tiny_checkpoint) as archive:
+        entries = {key.replace("fold1/", "fold3/", 1): archive[key] for key in archive.files}
+    np.savez(path, **entries)
+    out = tmp_path / "probe"
+    assert run_cli("probe", *TINY, "--checkpoint", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (f"error: {path}: holds folds [0, 3], "
+                                       f"not folds 0 to 1\n")
+    assert not (out / "result.json").exists()
 
 
 def test_a_bank_other_than_the_archives_config_is_a_load_error(tmp_path, capsys,

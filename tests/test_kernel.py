@@ -129,6 +129,21 @@ def test_exact_kernel_feature_mismatch():
         exact_rw_kernel(g, h, 1)
 
 
+def test_exact_kernel_rejects_a_walk_length_below_one():
+    with pytest.raises(ContractError, match="walk length must be >= 1, got 0"):
+        exact_rw_kernel(k2(), k2(), 0)
+
+
+@pytest.mark.parametrize("raw, features, message", [
+    ((2, 3), (2, 1), "raw_weights must be square"),
+    ((1, 1), (1, 1), "needs at least 2 nodes"),
+    ((3, 3), (2, 1), "one feature row per node required")],
+    ids=["not-square", "one-node", "feature-rows"])
+def test_hidden_graph_shape_validation(raw, features, message):
+    with pytest.raises(ContractError, match=message):
+        HiddenGraph(ad.parameter(np.zeros(raw)), ad.parameter(np.zeros(features)))
+
+
 # ---------------------------------------------------------------------------
 # smoothed kernel
 # ---------------------------------------------------------------------------

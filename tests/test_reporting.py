@@ -114,6 +114,20 @@ def test_checkpoint_round_trip(tmp_path):
             assert np.array_equal(a.data, b.data)
 
 
+def test_a_gap_in_the_fold_numbers_is_a_load_error(tmp_path):
+    cfg = small_cfg()
+    rng = np.random.default_rng(3)
+    fold_params = [SwagParams.init(cfg.kernel_config(), input_dim=2, rng=rng)
+                   for _ in range(2)]
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(path, fold_params, None, cfg.to_dict())
+    with np.load(path) as archive:
+        entries = {key.replace("fold0/", "fold2/", 1): archive[key] for key in archive.files}
+    np.savez(path, **entries)
+    with pytest.raises(LoadError, match=r"holds folds \[1, 2\], not folds 0 to 1"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_without_heads(tmp_path):
     cfg = small_cfg()
     rng = np.random.default_rng(3)

@@ -1,7 +1,8 @@
 """The runtime depends on numpy alone: every module of the package imports
 only numpy, the package itself and the standard library, and the project
 metadata lists numpy as its one dependency.  Every name a module of the
-package or a test file imports is also used in it."""
+package or a test file imports is also used in it, and every private name
+the package defines is read somewhere in the package."""
 
 import ast
 import os
@@ -49,6 +50,37 @@ def unused_imports(path: str) -> list:
     return [(line, name) for line, name in bound if name not in read]
 
 
+def unread_private_names(paths: list) -> list:
+    """(file, line, name) of every private name (one leading underscore, not
+    two) that a module of ``paths`` defines at module or class level (a def,
+    a class or an assignment) and that no module of ``paths`` reads, as a
+    name or as an attribute."""
+    defined, read = [], set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [name.id for target in targets for name in ast.walk(target)
+                             if isinstance(name, ast.Name)]
+                else:
+                    continue
+                defined += [(os.path.basename(path), node.lineno, name)
+                            for name in names
+                            if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [entry for entry in defined if entry[2] not in read]
+
+
 SOURCES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
 
 
@@ -71,6 +103,12 @@ def unused_in(directory: str) -> list:
 def test_package_uses_every_name_it_imports():
     unused = unused_in(PACKAGE)
     assert not unused, unused
+
+
+def test_package_reads_every_private_name_it_defines():
+    # reads from the tests do not count: a name only a test reads is dead code
+    unread = unread_private_names([os.path.join(PACKAGE, name) for name in SOURCES])
+    assert not unread, unread
 
 
 def test_tests_use_every_name_they_import():
@@ -99,3 +137,16 @@ def test_an_unused_import_is_caught(tmp_path):
                     "from itertools import chain, repeat\nfrom . import kernel\n"
                     "__all__ = ['kernel']\nx = np.zeros(2)\nlist(repeat(x, 2))\n")
     assert unused_imports(str(path)) == [(2, "os"), (4, "chain")]
+
+
+def test_an_unread_private_name_is_caught(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text("_LIMIT = 3\n_unused, _pair = 1, 2\n__dunder = 0\n\n\n"
+                     "def _helper():\n    return _LIMIT\n\n\n"
+                     "class Box:\n    _SIZE: int = 2\n    _spare = 0\n\n"
+                     "    def _grow(self):\n        return self._SIZE\n")
+    second.write_text("from first import _helper, _pair\n_helper()\nprint(_pair)\n"
+                      "_written = 1\n")
+    assert unread_private_names([str(first), str(second)]) == [
+        ("first.py", 2, "_unused"), ("first.py", 12, "_spare"), ("first.py", 14, "_grow"),
+        ("second.py", 4, "_written")]

@@ -185,6 +185,29 @@ def test_mlp_shape_validation():
                     ad.parameter(np.zeros((5, 2))), ad.parameter(np.zeros(2)))
 
 
+def test_mlp_rejects_a_bias_of_another_width():
+    with pytest.raises(ContractError, match="bias lengths must match layer widths"):
+        TwoLayerMLP(ad.parameter(np.zeros((3, 4))), ad.parameter(np.zeros(5)),
+                    ad.parameter(np.zeros((4, 2))), ad.parameter(np.zeros(2)))
+
+
+def test_mlp_copy_is_equal_and_shares_no_memory():
+    head = ProjectionHead.for_encoder(6, np.random.default_rng(9))
+    clone = head.copy()
+    assert type(clone) is ProjectionHead
+    for orig, copied in zip(head.parameters(), clone.parameters()):
+        assert copied is not orig and copied.requires_grad
+        np.testing.assert_array_equal(copied.data, orig.data)
+        assert not np.shares_memory(copied.data, orig.data)
+    clone.w1.data[...] = 0.0
+    assert head.w1.data.any()
+
+
+def test_noncontrastive_rejects_an_empty_batch():
+    with pytest.raises(ContractError, match="noncontrastive_loss: empty batch"):
+        noncontrastive_loss(batch_of(np.zeros((0, 2)), np.zeros((0, 2))), identity)
+
+
 def test_ssl_batch_shape_check():
     with pytest.raises(ContractError):
         batch_of([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])

@@ -9,6 +9,7 @@ from swagnn import augment as augment_module
 from swagnn.augment import LgaAugmenter
 from swagnn.errors import ConfigError, TrainingError
 from swagnn.graphs import Dataset, FoldSplit, Graph, degree_features
+from swagnn.kernel import SwagParams
 from swagnn.training import (
     PretrainResult,
     TrainConfig,
@@ -79,6 +80,14 @@ def test_config_validation():
     for bad in ({"folds": True}, {"seed": 1.0}, {"lr": "0.1"}, {"out": 1}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             TrainConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("augmenter", ["lga", "edge-drop", "identity"])
+def test_tau_and_drop_rate_are_checked_whatever_the_augmenter(augmenter):
+    with pytest.raises(ConfigError, match=r"EdgeDropAugmenter: rate 2.0 outside \[0,1\]"):
+        TrainConfig(augmenter=augmenter, drop_rate=2.0)
+    with pytest.raises(ConfigError, match="LgaAugmenter: tau must be positive, got -1.0"):
+        TrainConfig(augmenter=augmenter, tau=-1.0)
 
 
 def test_config_round_trip():
@@ -181,6 +190,17 @@ def test_nan_loss_aborts_with_diagnostic():
         with pytest.raises(TrainingError) as exc:
             train_supervised(small_cfg(epochs=2), dataset=bad)
     assert "fold" in str(exc.value)
+
+
+def test_a_nan_encoder_weight_ends_in_a_training_error():
+    ds = make_toy_dataset()
+    cfg = small_cfg(epochs=1, mode="finetune")
+    rng = np.random.default_rng(0)
+    fold_params = [SwagParams.init(cfg.kernel_config(), ds.feature_dim, rng) for _ in range(2)]
+    fold_params[0].weight.data[0, 0] = np.nan
+    with pytest.raises(TrainingError,
+                       match="training loss became non-finite at fold 0, epoch 0"):
+        adapt(PretrainResult(fold_params, None, [], {}), cfg, ds)
 
 
 def test_empty_validation_split_is_a_config_error():
@@ -457,7 +477,7 @@ def test_ablate_num_hidden_supervised():
 
 
 @pytest.mark.parametrize("parameter, values", [("num_hidden", [2, 0]), ("num_hidden", [2, "x"]),
-                                               ("tau", [10.0, float("nan")])])
+                                               ("tau", [10.0, float("nan")]), ("tau", [])])
 def test_ablate_checks_every_value_before_the_first_run(monkeypatch, recwarn, parameter,
                                                         values):
     calls = []

@@ -218,6 +218,7 @@ def test_bench_sets_load_as_the_oracle_does(tmp_path, bench_inputs, data, seed):
     ("MUTAG_A.txt", 1023, "1"),
     ("MUTAG_A.txt", 1025, " "),
     ("MUTAG_node_attributes.txt", 3000, "nan, 1.0, 2.0"),
+    ("MUTAG_node_attributes.txt", 3000, "nan, 1.0"),
     ("MUTAG_node_attributes.txt", 2049, "1.0, 2.0"),
     ("MUTAG_node_attributes.txt", 3000, "1.0, x, 2.0"),
 ])
