@@ -234,12 +234,19 @@ def trace_product(a: Tensor, b: Tensor) -> Tensor:
 
 def _log_softmax_rows(x: np.ndarray):
     """Row-wise log-softmax of a matrix and the softmax probabilities its
-    VJP needs; ``log_softmax`` and ``ssl.softmax_cross_entropy`` share it."""
+    VJP needs; ``log_softmax`` and ``ssl.softmax_cross_entropy`` share it.
+
+    When every probability is a normal float the result is ``np.log(probs)``,
+    the bits the guarded form gives there; only a matrix with an underflowing
+    (or NaN) probability pays for the guarded ``where`` form.
+    """
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     probs = e / total
     normal = probs >= _TINY
+    if normal.all():
+        return np.log(probs), probs
     return np.where(normal, np.log(np.where(normal, probs, 1.0)),
                     shifted - np.log(total)), probs
 

@@ -18,7 +18,7 @@ import sys
 from .augment import rank0_certified
 from .errors import ConfigError, SwagError
 from .graphs import Dataset, stratified_folds
-from .reporting import (ablation_csv, augment_dataset, export_hidden_graphs,
+from .reporting import (ablation_csv, augment_dataset, augment_out, export_hidden_graphs,
                         fold_csv, load_checkpoint, load_result, save_checkpoint,
                         save_result, summarize)
 from .training import (ABLATIONS, ADAPT_MODES, CHOICES, FIELD_TYPES, FIELDS, PretrainResult,
@@ -41,25 +41,32 @@ def _config_parent() -> argparse.ArgumentParser:
 
 def build_config(args: argparse.Namespace) -> TrainConfig:
     """Config file values, overridden by every field ``args`` sets (flags and
-    the subcommand's mode); ``TrainConfig.from_dict`` defaults the rest."""
-    values = {}
-    if getattr(args, "config", None):
+    the subcommand's mode); ``TrainConfig.from_dict`` defaults the rest.
+
+    An invalid config whose flags alone make a valid one has a bad value
+    from the file, and its error names the file; otherwise the error is
+    the flags' own, and names no file."""
+    path, loaded = getattr(args, "config", None), {}
+    if path:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config {args.config}: expected a JSON object")
+            raise ConfigError(f"config {path}: expected a JSON object")
         unknown = set(loaded) - set(FIELDS)
         if unknown:
-            raise ConfigError(f"config {args.config}: unknown fields {sorted(unknown)}")
-        values = loaded
-    for name in FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return TrainConfig.from_dict(values)
+            raise ConfigError(f"config {path}: unknown fields {sorted(unknown)}")
+    flags = {name: getattr(args, name) for name in FIELDS
+             if getattr(args, name, None) is not None}
+    try:
+        return TrainConfig.from_dict({**loaded, **flags})
+    except ConfigError as exc:
+        if not loaded:
+            raise
+        TrainConfig.from_dict(flags)  # a bad flag raises its own error here
+        raise ConfigError(f"config {path}: {exc}") from exc
 
 
 def _make_out(path: str):
@@ -163,6 +170,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = build_config(args)
+    augment_out(cfg)  # without an output directory, stop before loading anything
     dataset = _prepare(cfg, [])
     manifest = augment_dataset(cfg, dataset)
     if cfg.augmenter == "lga":

@@ -232,13 +232,19 @@ def export_hidden_graphs(params: SwagParams, threshold: float, out: str) -> list
 # offline dataset augmentation
 # ---------------------------------------------------------------------------
 
+def augment_out(cfg: TrainConfig, out: str = None) -> str:
+    """The directory ``augment_dataset`` writes to: ``out``, else ``cfg.out``."""
+    out = out or cfg.out
+    if out is None:
+        raise ConfigError("augment_dataset: an output directory is required")
+    return out
+
+
 def augment_dataset(cfg: TrainConfig, dataset: Dataset = None,
                     out: str = None) -> str:
     """Write one augmented draw of the dataset in TU text format plus a
     JSON manifest describing how it was produced."""
-    out = out or cfg.out
-    if out is None:
-        raise ConfigError("augment_dataset: an output directory is required")
+    out = augment_out(cfg, out)
     ds = dataset if dataset is not None else load_dataset(cfg)
     augmenter = cfg.make_augmenter()
     augmented, kept_ranks = [], []

@@ -19,7 +19,8 @@ from .kernel import KernelConfig, SwagParams, encode_batch, state_array
 
 
 class TwoLayerMLP:
-    """ReLU MLP with one hidden layer, recorded on the tape as one node."""
+    """ReLU MLP with one hidden layer, recorded on the tape as one node;
+    ``forward`` evaluates it off the tape."""
 
     def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
         if w1.data.shape[1] != b1.data.shape[0] or w2.data.shape[1] != b2.data.shape[0]:
@@ -41,8 +42,19 @@ class TwoLayerMLP:
         w2, b2 = layer(d_hidden, d_out)
         return cls(w1, b1, w2, b2)
 
+    def forward(self, x: np.ndarray):
+        """The hidden activations relu(x W1 + b1) and the outputs (that
+        times W2, plus b2) of a matrix ``x``, in plain numpy: evaluation
+        reads the outputs without recording a tape node."""
+        w1, b1, w2, b2 = (p.data for p in self.parameters())
+        if x.ndim != 2 or x.shape[1] != w1.shape[0]:
+            raise ContractError(f"{type(self).__name__}: input of shape {x.shape} does not "
+                                f"fit a first layer of shape {w1.shape}")
+        hidden = np.maximum(x @ w1 + b1, 0.0)
+        return hidden, hidden @ w2 + b2
+
     def __call__(self, x: Tensor) -> Tensor:
-        """relu(x W1 + b1) W2 + b2, recorded as one tape node.
+        """relu(x W1 + b1) W2 + b2 from ``forward``, recorded as one tape node.
 
         Values and gradients are those of the chain ``matmul``, bias
         ``add``, ``relu``, ``matmul``, bias ``add``, bit for bit: the VJP
@@ -53,27 +65,24 @@ class TwoLayerMLP:
         """
         x = ad._as_tensor(x)
         w1, b1, w2, b2 = self.parameters()
-        if x.data.ndim != 2 or x.data.shape[1] != w1.data.shape[0]:
-            raise ContractError(f"{type(self).__name__}: input of shape {x.data.shape} does not "
-                                f"fit a first layer of shape {w1.data.shape}")
-        pre = x.data @ w1.data + b1.data
-        hidden = np.maximum(pre, 0.0)
+        hidden, out = self.forward(x.data)
 
         def vjp(g):
             # g is out.grad, already zeros + (the consumer's gradient)
             if w2.requires_grad:
                 ad._accumulate(w2, hidden.T @ g)
             if b2.requires_grad:
-                ad._accumulate(b2, g.sum(axis=0))
-            g = np.where(pre > 0, g @ w2.data.T, 0.0)
+                ad._accumulate(b2, np.add.reduce(g, axis=0))
+            # hidden > 0 exactly where x W1 + b1 > 0
+            g = np.where(hidden > 0, g @ w2.data.T, 0.0)
             if x.requires_grad:
                 ad._accumulate(x, g @ w1.data.T)
             if w1.requires_grad:
                 ad._accumulate(w1, x.data.T @ g)
             if b1.requires_grad:
-                ad._accumulate(b1, g.sum(axis=0))
+                ad._accumulate(b1, np.add.reduce(g, axis=0))
 
-        return ad._node(hidden @ w2.data + b2.data, (x, w1, b1, w2, b2), vjp, "mlp")
+        return ad._node(out, (x, w1, b1, w2, b2), vjp, "mlp")
 
     def parameters(self) -> list:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -147,9 +156,11 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     Values and gradients are those of the composed chain (``log_softmax``,
     a one-hot ``multiply``, a row ``sum``, ``mean`` and ``scale`` by -1),
     bit for bit; the log-softmax values come from the helper behind
-    ``ad.log_softmax``.  A label that is not an integer in [0, C), for C
-    columns of ``logits``, is a ContractError naming its row, and so are
-    logits with no rows.
+    ``ad.log_softmax``.  Nothing is summed twice: the loss is the pairwise
+    sum ``np.mean`` takes, and the VJP subtracts ``probs`` times the one
+    nonzero it writes per row, which is that row's sum.  A label that is
+    not an integer in [0, C), for C columns of ``logits``, is a
+    ContractError naming its row, and so are logits with no rows.
     """
     logits = ad._as_tensor(logits)
     if logits.data.ndim != 2:
@@ -174,13 +185,17 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp, probs = ad._log_softmax_rows(logits.data)
 
     def vjp(g):
-        # the gradient the chain hands log_softmax: -g / count on each true
-        # class, +0.0 elsewhere; then log_softmax's own VJP
+        # the gradient the chain hands log_softmax: value = -g / count on each
+        # true class, +0.0 elsewhere; then log_softmax's own VJP, whose row
+        # sum of that gradient is value itself
+        value = (g * -1.0) / count
         d = np.zeros(logits.data.shape)
-        d[rows, labels] = (g * -1.0) / count
-        ad._accumulate(logits, d - probs * d.sum(axis=1, keepdims=True))
+        d[rows, labels] = value
+        ad._accumulate(logits, d - probs * value)
 
-    return ad._node(logp[rows, labels].mean() * -1.0, (logits,), vjp, "softmax_cross_entropy")
+    # np.mean's pairwise sum and division, without its wrapper
+    return ad._node((np.add.reduce(logp[rows, labels]) / count) * -1.0, (logits,), vjp,
+                    "softmax_cross_entropy")
 
 
 def infonce_from_similarities(sim: Tensor) -> Tensor:

@@ -3,7 +3,7 @@
 Every mode trains through one loop, ``_epochs``: one permutation per
 epoch, one optimizer step per batch, the example-weighted mean loss.
 ``_run_fold`` fits a classifier on one fold and trains the encoder with
-it, except in probe mode, which encodes each split once.
+it, except in probe mode, which encodes each graph once per fold.
 ``_pretrain_fold`` trains one fold's encoder label-free on that fold's
 train split only.  ``train_supervised`` and ``adapt`` share one
 cross-validation body, and ``cross_validate`` runs a supervised, probe or
@@ -230,12 +230,15 @@ def _batch_indices(order: np.ndarray, batch_size: int, min_last: int = 1) -> lis
 
 
 def _accuracy(encodings: np.ndarray, labels: np.ndarray, head: TwoLayerMLP) -> float:
-    logits = head(ad.constant(encodings)).data
-    return float(np.mean(logits.argmax(axis=1) == labels))
+    """Share of rows whose largest logit is the label's, from the head's
+    plain numpy ``forward``: evaluation records no tape node.  An exact
+    count over the row count, so the bits of ``np.mean`` of the hits."""
+    logits = head.forward(encodings)[1]
+    return float(np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels))
 
 
 def _check_finite(value: float, what: str, fold: int, epoch: int):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise TrainingError(f"{what} became non-finite at fold {fold}, epoch {epoch}")
 
 
@@ -270,26 +273,37 @@ def _epochs(opt: ad.Adam, rng: np.random.Generator, n: int, epochs: int,
     """The one training loop.  Each epoch draws one permutation of the n
     training positions, takes one optimizer step per batch on
     ``batch_loss(batch, epoch)`` and yields (epoch, example-weighted mean
-    loss)."""
+    loss).  One ``_overflow_checked`` guard spans an epoch's batches, so an
+    overflow or a non-finite loss in any batch names that fold and epoch;
+    the caller's per-epoch work runs outside it."""
     for epoch in range(epochs):
         order = rng.permutation(n)
         total, seen = 0.0, 0
-        for batch in _batch_indices(order, batch_size, min_last):
-            with _overflow_checked(what, fold, epoch):
+        with _overflow_checked(what, fold, epoch):
+            for batch in _batch_indices(order, batch_size, min_last):
                 loss = batch_loss(batch, epoch)
-                _check_finite(loss.item(), what, fold, epoch)
+                value = loss.item()
+                _check_finite(value, what, fold, epoch)
                 opt.zero_grad()
                 ad.backward(loss)
                 opt.step()
-            total += loss.item() * len(batch)
-            seen += len(batch)
+                total += value * len(batch)
+                seen += len(batch)
         yield epoch, total / seen
 
 
 def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int,
               params: SwagParams = None) -> dict:
     """Train a classifier on one fold; the encoder trains with it unless
-    ``cfg.mode`` is "probe"."""
+    ``cfg.mode`` is "probe".
+
+    A probe's frozen encoder encodes the whole dataset in one
+    ``encode_numpy`` pass, which builds its hidden walks once, and the
+    fold's train, validation and test rows are taken from it (a row does
+    not depend on the graphs encoded with it).  So an overflow while
+    encoding any of them, test graphs included, stops the fold before its
+    first epoch as "encoding overflowed at fold f, epoch 0".
+    """
     start = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, fold])
     kcfg = cfg.kernel_config()
@@ -309,9 +323,12 @@ def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int,
     def encode(graphs):
         return encode_numpy(graphs, params, kcfg)
 
-    # a frozen encoder encodes each split once
-    with _overflow_checked("encoding", fold, 0):
-        train_enc, val_enc = (encode(train_graphs), encode(val_graphs)) if frozen else (None, None)
+    # a frozen encoder encodes every graph once
+    if frozen:
+        with _overflow_checked("encoding", fold, 0):
+            encoded = encode(ds.graphs)
+        train_enc, val_enc, test_enc = (encoded[split.train_idx], encoded[split.val_idx],
+                                        encoded[split.test_idx])
 
     def batch_loss(batch, epoch):
         enc = (ad.constant(train_enc[batch]) if frozen
@@ -335,7 +352,8 @@ def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int,
         final_train_acc = _accuracy(train_enc if frozen else encode(train_graphs),
                                     train_labels, predictor)
         opt.data[...] = best_state  # in place: each parameter is a view of it
-        test_acc = _accuracy(encode(test_graphs), labels[split.test_idx], predictor)
+        test_acc = _accuracy(test_enc if frozen else encode(test_graphs),
+                             labels[split.test_idx], predictor)
     return {"test_accuracy": test_acc,
             "val_accuracy": best_val,
             "train_accuracy": final_train_acc,

@@ -180,6 +180,27 @@ def test_log_softmax_keeps_large_gaps_finite():
     np.testing.assert_array_equal(y.data, [[-800.0, 0.0], [-2e300, 0.0]])
 
 
+def guarded_log_softmax(x):
+    """The guarded form of ``ad._log_softmax_rows``, for every matrix."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    probs = e / total
+    normal = probs >= np.finfo(np.float64).tiny
+    return np.where(normal, np.log(np.where(normal, probs, 1.0)), shifted - np.log(total))
+
+
+@pytest.mark.parametrize("shape, spread, fast", [
+    ((64, 2), 1.0, True), ((64, 64), 5.0, True), ((1, 3), 30.0, True),
+    ((8, 3), 400.0, False)])
+def test_log_softmax_fast_path_is_the_guarded_form_byte_for_byte(shape, spread, fast):
+    x = np.random.default_rng(460).standard_normal(shape) * spread
+    logp, probs = ad._log_softmax_rows(x)
+    # the fast path is taken exactly when every probability is a normal float
+    assert bool(np.all(probs >= np.finfo(np.float64).tiny)) == fast
+    assert logp.tobytes() == guarded_log_softmax(x).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_l2_normalize(seed):
     rng = np.random.default_rng(500 + seed)

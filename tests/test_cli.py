@@ -98,6 +98,35 @@ def test_config_file_errors_name_the_field(tmp_path, capsys, entry, shown):
     assert all(text in err for text in shown), err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"seed": "a"}, "TrainConfig: seed must be of type int, got 'a'"),
+    ({"tau": -1}, "LgaAugmenter: tau must be positive, got -1"),
+    ({"lr": 0}, "TrainConfig: lr must be positive and finite, got 0"),
+])
+def test_a_bad_value_from_the_config_file_names_the_file(tmp_path, capsys, entry, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(entry))
+    assert run_cli("train", "--config", str(cfg_path)) == 1
+    assert capsys.readouterr().err == f"error: config {cfg_path}: {message}\n"
+
+
+@pytest.mark.parametrize("entry", [{"epochs": 1}, {"lr": "fast"}])
+def test_a_bad_flag_names_no_config_file(tmp_path, capsys, entry):
+    # the flag's own error, whether the file's values are valid or not
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(entry))
+    assert run_cli("train", "--config", str(cfg_path), "--seed", "-1") == 1
+    assert capsys.readouterr().err == "error: TrainConfig: seed must be >= 0, got -1\n"
+
+
+def test_a_flag_overrides_a_bad_config_file_value(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lr": 0, "tau": -1}))
+    assert run_cli("train", *TINY, "--config", str(cfg_path), "--lr", "0.1",
+                   "--tau", "1.5") == 0
+    assert "accuracy" in capsys.readouterr().out
+
+
 def test_config_file_must_be_an_object(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps([["seed", 1]]))
@@ -397,6 +426,16 @@ def test_augment_requires_out(capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+def test_augment_without_out_stops_before_loading(tmp_path, capsys):
+    data = write_tu(tmp_path / "BAD", "1, 2\nx, y\n")
+    argv = ["augment", "--dataset", "BAD", "--data-dir", data, "--augmenter", "identity"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: augment_dataset: an output directory is required\n"
+    # with --out the set is loaded, and its malformed line is the error
+    assert run_cli(*argv, "--out", str(tmp_path / "aug")) == 1
+    assert "BAD_A.txt:2: expected 'u, v', got 'x, y'" in capsys.readouterr().err
+
+
 def test_export_hidden(tmp_path):
     run_dir = str(tmp_path / "run")
     run_cli("train", *TINY, "--out", run_dir)
@@ -648,7 +687,7 @@ def test_an_unknown_choice_is_refused_by_flag_and_by_file(tmp_path, capsys, name
     cfg_path.write_text(json.dumps({name: "bogus"}))
     assert run_cli("train", "--config", str(cfg_path)) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: TrainConfig: unknown {name} 'bogus'"), err
+    assert err.startswith(f"error: config {cfg_path}: TrainConfig: unknown {name} 'bogus'"), err
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 from swagnn import autodiff as ad
 from swagnn.augment import IdentityAugmenter, LgaAugmenter
 from swagnn.errors import ContractError
-from swagnn.graphs import Graph, degree_features
+from swagnn.graphs import FoldSplit, Graph, degree_features
 from swagnn.kernel import KernelConfig, SwagParams
 from swagnn.ssl import (
     ProjectionHead,
@@ -17,6 +17,7 @@ from swagnn.ssl import (
     noncontrastive_loss,
     softmax_cross_entropy,
 )
+from swagnn.training import TrainConfig, _run_fold, make_toy_dataset
 
 identity = lambda x: x  # noqa: E731 - stub head for arithmetic checks
 
@@ -356,12 +357,23 @@ def test_fused_nodes_pass_finite_differences():
     assert ad.finite_diff_check(lambda: softmax_cross_entropy(logits, labels), [logits]) <= 1e-6
 
 
-def test_a_probe_loss_records_two_tape_nodes():
+def test_a_probe_loss_records_two_tape_nodes(monkeypatch):
     rng = np.random.default_rng(22)
     head = TwoLayerMLP.init(48, 32, 2, rng)
     loss = softmax_cross_entropy(head(ad.constant(rng.standard_normal((16, 48)))),
                                  rng.integers(0, 2, size=16))
-    assert sum(1 for node in ad.Tape(loss).nodes if node._parents) <= 2
+    assert sum(1 for node in ad.Tape(loss).nodes if node._parents) == 2
+    # a whole probe epoch: two op nodes per optimizer step, and none for the
+    # validation, train and test accuracies
+    events = []
+    node, step = ad._node, ad.Adam.step
+    monkeypatch.setattr(ad, "_node", lambda *args: events.append(args[3]) or node(*args))
+    monkeypatch.setattr(ad.Adam, "step", lambda self: events.append("step") or step(self))
+    cfg = TrainConfig(mode="probe", epochs=1, batch_size=2, folds=2, hidden_graphs=3,
+                      hidden_nodes=3, hidden_dim=3, walk_len=2)
+    split = FoldSplit(train_idx=[0, 1, 4, 5], val_idx=[2, 6], test_idx=[3, 7])
+    _run_fold(make_toy_dataset(), split, cfg, 0)
+    assert events == ["mlp", "softmax_cross_entropy", "step"] * 2
 
 
 @pytest.mark.parametrize("labels, row, value", [

@@ -11,8 +11,10 @@ from swagnn.errors import ConfigError, TrainingError
 from swagnn.graphs import Dataset, FoldSplit, Graph, degree_features
 from swagnn.kernel import SwagParams
 from swagnn.training import (
+    Predictor,
     PretrainResult,
     TrainConfig,
+    _accuracy,
     _batch_indices,
     _pretrain_fold,
     _run_fold,
@@ -311,15 +313,67 @@ def test_probe_encodes_each_graph_once_per_fold(monkeypatch):
     ds = make_toy_dataset()
     cfg = small_cfg(epochs=3, mode="probe")
     pre = pretrain_ssl(dataclasses.replace(cfg, mode="pretrain", pretrain_epochs=0), ds)
-    encode, encoded = swagnn.training.encode_numpy, []
+    encode, encoded, calls = swagnn.training.encode_numpy, [], []
 
     def counted(graphs, *args):
         encoded.extend(id(g) for g in graphs)
+        calls.append(len(graphs))
         return encode(graphs, *args)
     monkeypatch.setattr(swagnn.training, "encode_numpy", counted)
     adapt(pre, cfg, ds)
-    # each fold encodes its train, validation and test graphs once each
+    # each fold encodes its train, validation and test graphs once each,
+    # in one call over the whole dataset
     assert [encoded.count(id(g)) for g in ds.graphs] == [cfg.folds] * len(ds.graphs)
+    assert calls == [len(ds.graphs)] * cfg.folds
+
+
+def test_a_probe_test_graph_that_overflows_stops_the_fold_before_its_epochs():
+    ds = make_toy_dataset()
+    split = FoldSplit(train_idx=[0, 1, 4, 5], val_idx=[2, 6], test_idx=[3, 7])
+    for i in split.test_idx:
+        ds.graphs[i].features = ds.graphs[i].features * 1e200
+    with pytest.raises(TrainingError, match="encoding overflowed at fold 1, epoch 0"):
+        _run_fold(ds, split, small_cfg(epochs=3, mode="probe"), 1)
+
+
+def test_accuracy_records_no_tape_node(monkeypatch):
+    made = []
+    init = ad.Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    head = Predictor.init(6, 4, 3, np.random.default_rng(3))
+    made.clear()
+    encodings = np.random.default_rng(4).standard_normal((5, 6))
+    logits = encodings @ head.w1.data + head.b1.data
+    logits = np.maximum(logits, 0.0) @ head.w2.data + head.b2.data
+    labels = np.array([0, 1, 2, 0, 1])
+    accuracy = _accuracy(encodings, labels, head)
+    # a Python float with np.mean's bits: reports write its repr
+    assert type(accuracy) is float and accuracy == np.mean(logits.argmax(axis=1) == labels)
+    assert made == []
+
+
+@pytest.mark.parametrize("bad_loss, message", [
+    (lambda w: ad.scale(ad.reduce_sum(w), float(np.exp(1000.0))),
+     "training loss overflowed at fold 3, epoch 1"),
+    (lambda w: ad.constant(np.inf), "training loss became non-finite at fold 3, epoch 1")])
+def test_a_bad_second_batch_names_its_fold_and_epoch(bad_loss, message):
+    w = ad.parameter(np.ones(2))
+    opt = ad.Adam([w])
+    calls = []
+
+    def batch_loss(batch, epoch):
+        calls.append((epoch, len(batch)))
+        # the fourth batch is epoch 1's second
+        return bad_loss(w) if len(calls) == 4 else ad.reduce_sum(w)
+    epochs = swagnn.training._epochs(opt, np.random.default_rng(0), 4, 3, 2, batch_loss,
+                                     "training loss", 3)
+    with pytest.raises(TrainingError, match=message):
+        list(epochs)
+    assert calls == [(0, 2), (0, 2), (1, 2), (1, 2)]
 
 
 def test_finetune_updates_encoder():
