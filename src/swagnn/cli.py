@@ -55,9 +55,6 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path}: expected a JSON object")
-        unknown = set(loaded) - set(FIELDS)
-        if unknown:
-            raise ConfigError(f"config {path}: unknown fields {sorted(unknown)}")
     flags = {name: getattr(args, name) for name in FIELDS
              if getattr(args, name, None) is not None}
     try:
@@ -84,11 +81,10 @@ def _save_run(result, cfg: TrainConfig):
         return
     save_result(result, os.path.join(cfg.out, "result.json"))
     fold_csv(result, os.path.join(cfg.out, "folds.csv"))
-    if result.fold_states:
-        save_checkpoint(os.path.join(cfg.out, "checkpoint.npz"),
-                        [s[0] for s in result.fold_states],
-                        [s[1] for s in result.fold_states],
-                        cfg.to_dict())
+    save_checkpoint(os.path.join(cfg.out, "checkpoint.npz"),
+                    [s[0] for s in result.fold_states],
+                    [s[1] for s in result.fold_states],
+                    cfg.to_dict())
     print(f"wrote {cfg.out}/result.json, folds.csv, checkpoint.npz")
 
 

@@ -76,12 +76,12 @@ class TrainConfig:
     dataset: str = "toy"
     data_dir: str = "."
     mode: str = "supervised"
-    hidden_graphs: int = 16
-    hidden_nodes: int = 10
-    hidden_dim: int = 32
-    walk_len: int = 3
-    diff_steps: int = 3
-    alpha: float = 0.15
+    hidden_graphs: int = KernelConfig.num_hidden
+    hidden_nodes: int = KernelConfig.hidden_nodes
+    hidden_dim: int = KernelConfig.hidden_dim
+    walk_len: int = KernelConfig.max_walk
+    diff_steps: int = DiffusionConfig.depth
+    alpha: float = DiffusionConfig.alpha
     tau: float = 2.02
     drop_rate: float = 0.2
     augmenter: str = "lga"
@@ -268,16 +268,24 @@ def _validated_folds(ds: Dataset, cfg: TrainConfig) -> list:
     return folds
 
 
-def _epochs(opt: ad.Adam, rng: np.random.Generator, n: int, epochs: int,
+def _epochs(opt: ad.Adam, rng: np.random.Generator, positions: list, epochs: int,
             batch_size: int, batch_loss, what: str, fold: int, min_last: int = 1):
-    """The one training loop.  Each epoch draws one permutation of the n
-    training positions, takes one optimizer step per batch on
-    ``batch_loss(batch, epoch)`` and yields (epoch, example-weighted mean
-    loss).  One ``_overflow_checked`` guard spans an epoch's batches, so an
-    overflow or a non-finite loss in any batch names that fold and epoch;
-    the caller's per-epoch work runs outside it."""
+    """The one training loop, over a fold's training graphs given by their
+    dataset ``positions``.  Each epoch draws one permutation of them, takes
+    one optimizer step per batch of positions on ``batch_loss(batch,
+    epoch)`` and yields (epoch, example-weighted mean loss).  One
+    ``_overflow_checked`` guard spans an epoch's batches, so an overflow or
+    a non-finite loss in any batch names that fold and epoch; the caller's
+    per-epoch work runs outside it.  A batch smaller than ``min_last`` is a
+    ConfigError naming the fold, raised before its first step."""
+    positions = np.asarray(positions)
+    smallest = min(map(len, _batch_indices(positions, batch_size, min_last)))
+    if epochs and smallest < min_last:
+        raise ConfigError(f"fold {fold}: {what} needs batches of at least {min_last} graphs, "
+                          f"but batch_size {batch_size} over {len(positions)} training "
+                          f"graph(s) forms a batch of {smallest}")
     for epoch in range(epochs):
-        order = rng.permutation(n)
+        order = positions[rng.permutation(len(positions))]
         total, seen = 0.0, 0
         with _overflow_checked(what, fold, epoch):
             for batch in _batch_indices(order, batch_size, min_last):
@@ -295,7 +303,8 @@ def _epochs(opt: ad.Adam, rng: np.random.Generator, n: int, epochs: int,
 def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int,
               params: SwagParams = None) -> dict:
     """Train a classifier on one fold; the encoder trains with it unless
-    ``cfg.mode`` is "probe".
+    ``cfg.mode`` is "probe".  Every split's graphs, labels and encodings
+    are read by dataset position.
 
     A probe's frozen encoder encodes the whole dataset in one
     ``encode_numpy`` pass, which builds its hidden walks once, and the
@@ -314,46 +323,39 @@ def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int,
     frozen = cfg.mode == "probe"
     trained = ([] if frozen else params.parameters()) + predictor.parameters()
     opt = ad.Adam(trained, lr=cfg.lr)
-
-    train_graphs = [ds.graphs[i] for i in split.train_idx]
-    train_labels = labels[split.train_idx]
-    val_graphs = [ds.graphs[i] for i in split.val_idx]
-    val_labels = labels[split.val_idx]
-
-    def encode(graphs):
-        return encode_numpy(graphs, params, kcfg)
-
+    # positions as arrays once per fold: each epoch's validation indexes by them
+    train, val, test = map(np.asarray, (split.train_idx, split.val_idx, split.test_idx))
     # a frozen encoder encodes every graph once
     if frozen:
         with _overflow_checked("encoding", fold, 0):
-            encoded = encode(ds.graphs)
-        train_enc, val_enc, test_enc = (encoded[split.train_idx], encoded[split.val_idx],
-                                        encoded[split.test_idx])
+            encoded = encode_numpy(ds.graphs, params, kcfg)
+
+    def accuracy(positions):
+        enc = (encoded[positions] if frozen
+               else encode_numpy([ds.graphs[i] for i in positions], params, kcfg))
+        return _accuracy(enc, labels[positions], predictor)
 
     def batch_loss(batch, epoch):
-        enc = (ad.constant(train_enc[batch]) if frozen
-               else encode_batch([train_graphs[i] for i in batch], params, kcfg))
-        return softmax_cross_entropy(predictor(enc), train_labels[batch])
+        enc = (ad.constant(encoded[batch]) if frozen
+               else encode_batch([ds.graphs[i] for i in batch], params, kcfg))
+        return softmax_cross_entropy(predictor(enc), labels[batch])
 
     loss_curve, val_curve = [], []
     best_val, best_epoch, best_state = -1.0, -1, None
-    for epoch, mean_loss in _epochs(opt, rng, len(train_graphs), cfg.epochs, cfg.batch_size,
+    for epoch, mean_loss in _epochs(opt, rng, train, cfg.epochs, cfg.batch_size,
                                     batch_loss, "training loss", fold):
         loss_curve.append(mean_loss)
         with _overflow_checked("validation", fold, epoch):
-            val_acc = _accuracy(val_enc if frozen else encode(val_graphs), val_labels, predictor)
+            val_acc = accuracy(val)
         val_curve.append(val_acc)
         if val_acc > best_val:
             best_val, best_epoch = val_acc, epoch
             best_state = opt.data.copy()
 
-    test_graphs = [ds.graphs[i] for i in split.test_idx]
     with _overflow_checked("evaluation", fold, cfg.epochs - 1):
-        final_train_acc = _accuracy(train_enc if frozen else encode(train_graphs),
-                                    train_labels, predictor)
+        final_train_acc = accuracy(train)
         opt.data[...] = best_state  # in place: each parameter is a view of it
-        test_acc = _accuracy(test_enc if frozen else encode(test_graphs),
-                             labels[split.test_idx], predictor)
+        test_acc = accuracy(test)
     return {"test_accuracy": test_acc,
             "val_accuracy": best_val,
             "train_accuracy": final_train_acc,
@@ -399,7 +401,8 @@ class PretrainResult:
 
 def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int):
     """Train one fold's encoder label-free on its train split for
-    ``cfg.pretrain_epochs`` epochs (None means ``cfg.epochs``)."""
+    ``cfg.pretrain_epochs`` epochs (None means ``cfg.epochs``); a batch's
+    dataset positions also key the augmenter's per-graph streams."""
     rng = np.random.default_rng([cfg.seed, fold, 1])
     kcfg = cfg.kernel_config()
     augmenter = cfg.make_augmenter()
@@ -408,16 +411,13 @@ def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int):
     head = ProjectionHead.for_encoder(kcfg.output_dim, rng)
     loss_fn, min_batch = OBJECTIVES[cfg.objective]
     opt = ad.Adam(params.parameters() + head.parameters(), lr=cfg.lr)
-    train_idx = np.asarray(split.train_idx)
 
     def batch_loss(batch, epoch):
-        positions = train_idx[batch]
-        graphs = [ds.graphs[i] for i in positions]
-        return loss_fn(make_ssl_batch(graphs, augmenter, params, kcfg, epoch,
-                                      indices=positions), head)
+        return loss_fn(make_ssl_batch([ds.graphs[i] for i in batch], augmenter, params, kcfg,
+                                      epoch, indices=batch), head)
 
     curve = [mean_loss for _, mean_loss in
-             _epochs(opt, rng, len(train_idx), epochs, cfg.batch_size, batch_loss,
+             _epochs(opt, rng, split.train_idx, epochs, cfg.batch_size, batch_loss,
                      "pretraining loss", fold, min_last=min_batch)]
     return params, head, curve
 

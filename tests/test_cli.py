@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from swagnn.cli import build_config, build_parser, main
+from swagnn.graphs import write_tu_dataset
 from swagnn.reporting import save_result
 from swagnn.training import CHOICES, RunResult, TrainConfig
+from test_training import sbm_dataset
 
 TINY = ["--dataset", "toy", "--hidden-graphs", "2", "--hidden-nodes", "4",
         "--hidden-dim", "8", "--walk-len", "2", "--epochs", "3",
@@ -72,7 +74,8 @@ def test_config_file_unknown_field(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"dataset": "toy", "bogus": 1}))
     assert run_cli("train", "--config", str(cfg_path)) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg_path}: ") and "['bogus']" in err
 
 
 def test_config_file_unreadable(tmp_path, capsys):
@@ -216,6 +219,22 @@ def test_pretrain_with_no_epochs_writes_the_untrained_encoders(tmp_path, capsys)
     assert run_cli("probe", *TINY, "--pretrain-epochs", "0", "--out", untrained) == 0
     assert (read_json(os.path.join(probe, "result.json"))["loss_curves"]
             == read_json(os.path.join(untrained, "result.json"))["loss_curves"])
+
+
+def test_pretrain_without_a_two_graph_batch_is_one_error_line(tmp_path, capsys):
+    write_tu_dataset(sbm_dataset(12).graphs, str(tmp_path), "SBM")
+    argv = [a if a != "toy" else "SBM" for a in TINY]
+    assert run_cli("pretrain", *argv, "--data-dir", str(tmp_path), "--batch-size", "1",
+                   "--augmenter", "edge-drop") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: fold 0: pretraining loss needs batches "
+                                               "of at least 2 graphs")
+
+
+def test_pretrain_merges_a_one_graph_tail_into_a_two_graph_batch(capsys):
+    assert run_cli("pretrain", "--dataset", "toy", "--batch-size", "1", "--epochs", "1",
+                   "--folds", "2") == 0
+    assert capsys.readouterr().out.count("final loss") == 2
 
 
 @pytest.mark.parametrize("flags, recorded", [([], None), (["--pretrain-epochs", "2"], 2)])

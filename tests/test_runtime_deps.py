@@ -2,7 +2,8 @@
 only numpy, the package itself and the standard library, and the project
 metadata lists numpy as its one dependency.  Every name a module of the
 package or a test file imports is also used in it, and every private name
-the package defines is read somewhere in the package."""
+the package defines is read somewhere in the package, and every local a
+function of the package assigns is read in that function."""
 
 import ast
 import os
@@ -81,6 +82,26 @@ def unread_private_names(paths: list) -> list:
     return [entry for entry in defined if entry[2] not in read]
 
 
+def dead_locals(path: str) -> list:
+    """(line, function, name) of every local that a function of a source
+    file assigns and never reads.  A read anywhere in the function, nested
+    functions included, counts, so a local read only inside a closure is
+    live; names that start with ``_`` are exempt."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = {}  # (line, name) -> function; ast.walk reaches a nested function last
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+        read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+        for node in names:
+            if (isinstance(node.ctx, ast.Store) and not node.id.startswith("_")
+                    and node.id not in read):
+                found[node.lineno, node.id] = func.name
+    return sorted((line, func, name) for (line, name), func in found.items())
+
+
 SOURCES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
 
 
@@ -109,6 +130,13 @@ def test_package_reads_every_private_name_it_defines():
     # reads from the tests do not count: a name only a test reads is dead code
     unread = unread_private_names([os.path.join(PACKAGE, name) for name in SOURCES])
     assert not unread, unread
+
+
+def test_package_reads_every_local_it_assigns():
+    dead = [f"{name}:{line} {func} assigns {local} and never reads it"
+            for name in SOURCES
+            for line, func, local in dead_locals(os.path.join(PACKAGE, name))]
+    assert not dead, dead
 
 
 def test_tests_use_every_name_they_import():
@@ -150,3 +178,23 @@ def test_an_unread_private_name_is_caught(tmp_path):
     assert unread_private_names([str(first), str(second)]) == [
         ("first.py", 2, "_unused"), ("first.py", 12, "_spare"), ("first.py", 14, "_grow"),
         ("second.py", 4, "_written")]
+
+
+def test_a_dead_local_is_caught(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("LIMIT = 3\n\n\n"
+                    "def fold(split):\n"
+                    "    train_enc, val_enc = split\n"
+                    "    _spare = 0\n"
+                    "    scale = 2\n\n"
+                    "    def inner(x):\n"
+                    "        unused = x\n"
+                    "        return x * scale\n"
+                    "    for index, item in enumerate(split):\n"
+                    "        inner(item)\n"
+                    "    total = 0\n"
+                    "    total += 1\n"
+                    "    return inner(val_enc)\n")
+    assert dead_locals(str(path)) == [(5, "fold", "train_enc"), (10, "inner", "unused"),
+                                      (12, "fold", "index"), (14, "fold", "total"),
+                                      (15, "fold", "total")]

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 import swagnn.training
 from swagnn import autodiff as ad
 from swagnn import augment as augment_module
-from swagnn.augment import LgaAugmenter
+from swagnn.augment import LgaAugmenter, generate_sbm
 from swagnn.errors import ConfigError, TrainingError
 from swagnn.graphs import Dataset, FoldSplit, Graph, degree_features
-from swagnn.kernel import SwagParams
+from swagnn.kernel import KernelConfig, SwagParams
 from swagnn.training import (
     Predictor,
     PretrainResult,
@@ -369,11 +370,58 @@ def test_a_bad_second_batch_names_its_fold_and_epoch(bad_loss, message):
         calls.append((epoch, len(batch)))
         # the fourth batch is epoch 1's second
         return bad_loss(w) if len(calls) == 4 else ad.reduce_sum(w)
-    epochs = swagnn.training._epochs(opt, np.random.default_rng(0), 4, 3, 2, batch_loss,
-                                     "training loss", 3)
+    epochs = swagnn.training._epochs(opt, np.random.default_rng(0), [5, 2, 8, 1], 3, 2,
+                                     batch_loss, "training loss", 3)
     with pytest.raises(TrainingError, match=message):
         list(epochs)
     assert calls == [(0, 2), (0, 2), (1, 2), (1, 2)]
+
+
+def test_epoch_batches_partition_the_given_positions_in_permutation_order():
+    positions = np.array([9, 2, 14, 5, 7])
+    w = ad.parameter(np.ones(2))
+    seen = {}
+
+    def batch_loss(batch, epoch):
+        seen.setdefault(epoch, []).append(batch.tolist())
+        return ad.reduce_sum(w)
+    list(swagnn.training._epochs(ad.Adam([w]), np.random.default_rng(5), positions.tolist(),
+                                 3, 2, batch_loss, "training loss", 0))
+    rng = np.random.default_rng(5)
+    for epoch in range(3):
+        order = positions[rng.permutation(len(positions))].tolist()
+        assert seen[epoch] == [order[:2], order[2:4], order[4:]]
+
+
+def sbm_dataset(count, classes=2):
+    """``count`` 8-node two-block SBM graphs, labelled in turn 0..classes-1."""
+    graphs = []
+    for i in range(count):
+        g = generate_sbm([4, 4], 0.9, 0.2, seed=[31, i])
+        g.label = i % classes
+        graphs.append(g)
+    return Dataset(graphs, classes, 1, "sbm")
+
+
+@pytest.mark.parametrize("ds, batch_size, message", [
+    (sbm_dataset(12), 1, "fold 0: pretraining loss needs batches of at least 2 graphs, but "
+                         "batch_size 1 over 4 training graph(s) forms a batch of 1"),
+    (sbm_dataset(2, classes=1), 64, "fold 0: pretraining loss needs batches of at least 2 "
+                                    "graphs, but batch_size 64 over 1 training graph(s) forms "
+                                    "a batch of 1")], ids=["batch-size-1", "one-graph-folds"])
+def test_infonce_without_a_two_graph_batch_stops_before_the_first_step(
+        ds, batch_size, message, optimizers):
+    cfg = small_cfg(mode="pretrain", augmenter="edge-drop", epochs=2, batch_size=batch_size)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        pretrain_ssl(cfg, ds)
+    # the fold's optimizer was built but never stepped
+    assert len(optimizers) == 1 and optimizers[0].t == 0
+    # with no epoch to run there is no batch to form
+    assert pretrain_ssl(dataclasses.replace(cfg, pretrain_epochs=0), ds).loss_curves == [[], []]
+
+
+def test_train_config_encoder_defaults_are_the_kernel_defaults():
+    assert TrainConfig().kernel_config() == KernelConfig()
 
 
 def test_finetune_updates_encoder():
