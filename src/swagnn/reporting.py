@@ -19,7 +19,7 @@ from .errors import ConfigError, ContractError, LoadError
 from .graphs import Dataset, write_tu_dataset
 from .kernel import SwagParams, hidden_adjacencies
 from .ssl import TwoLayerMLP
-from .training import ENCODER_FIELDS, RunResult, TrainConfig, load_dataset
+from .training import ENCODER_FIELDS, RunResult, TrainConfig
 
 _RESULT_FIELDS = [f.name for f in dataclasses.fields(RunResult)
                   if f.name != "fold_states"]
@@ -240,26 +240,24 @@ def augment_out(cfg: TrainConfig, out: str = None) -> str:
     return out
 
 
-def augment_dataset(cfg: TrainConfig, dataset: Dataset = None,
-                    out: str = None) -> str:
+def augment_dataset(cfg: TrainConfig, dataset: Dataset, out: str = None) -> str:
     """Write one augmented draw of the dataset in TU text format plus a
     JSON manifest describing how it was produced."""
     out = augment_out(cfg, out)
-    ds = dataset if dataset is not None else load_dataset(cfg)
     augmenter = cfg.make_augmenter()
     augmented, kept_ranks = [], []
-    for index, g in enumerate(ds.graphs):
+    for index, g in enumerate(dataset.graphs):
         augmented.append(augmenter.augment(g, index, epoch=0))
         kept_ranks.append(augmenter.kept_rank(g)
                           if hasattr(augmenter, "kept_rank") else None)
-    write_tu_dataset(augmented, out, ds.name)
-    manifest = {"dataset": ds.name,
+    write_tu_dataset(augmented, out, dataset.name)
+    manifest = {"dataset": dataset.name,
                 "augmenter": cfg.augmenter,
                 "seed": cfg.seed,
                 "tau": cfg.tau if cfg.augmenter == "lga" else None,
                 "drop_rate": cfg.drop_rate if cfg.augmenter == "edge-drop" else None,
                 "kept_ranks": kept_ranks}
-    manifest_path = os.path.join(out, f"{ds.name}_augmentation.json")
+    manifest_path = os.path.join(out, f"{dataset.name}_augmentation.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest_path

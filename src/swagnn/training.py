@@ -5,9 +5,10 @@ epoch, one optimizer step per batch, the example-weighted mean loss.
 ``_run_fold`` fits a classifier on one fold and trains the encoder with
 it, except in probe mode, which encodes each graph once per fold.
 ``_pretrain_fold`` trains one fold's encoder label-free on that fold's
-train split only.  ``train_supervised`` and ``adapt`` share one
-cross-validation body, and ``cross_validate`` runs a supervised, probe or
-finetune config end to end, pretraining first for the last two.
+train split only.  Every entry point takes the dataset from its caller
+and makes one fold list for ``_run_folds`` or ``_pretrain_folds``, and
+``cross_validate`` runs a supervised, probe or finetune config end to end,
+pretraining first for the last two on the folds it then adapts on.
 Checkpoints are selected per fold by validation accuracy, earliest epoch
 winning ties; the reported train accuracy is measured at the final epoch
 as an optimization sanity signal.
@@ -276,14 +277,8 @@ def _epochs(opt: ad.Adam, rng: np.random.Generator, positions: list, epochs: int
     epoch)`` and yields (epoch, example-weighted mean loss).  One
     ``_overflow_checked`` guard spans an epoch's batches, so an overflow or
     a non-finite loss in any batch names that fold and epoch; the caller's
-    per-epoch work runs outside it.  A batch smaller than ``min_last`` is a
-    ConfigError naming the fold, raised before its first step."""
+    per-epoch work runs outside it."""
     positions = np.asarray(positions)
-    smallest = min(map(len, _batch_indices(positions, batch_size, min_last)))
-    if epochs and smallest < min_last:
-        raise ConfigError(f"fold {fold}: {what} needs batches of at least {min_last} graphs, "
-                          f"but batch_size {batch_size} over {len(positions)} training "
-                          f"graph(s) forms a batch of {smallest}")
     for epoch in range(epochs):
         order = positions[rng.permutation(len(positions))]
         total, seen = 0.0, 0
@@ -366,13 +361,9 @@ def _run_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int,
             "state": (params, predictor)}
 
 
-def _run_folds(cfg: TrainConfig, dataset: Dataset, fold_params: list = None) -> RunResult:
-    """One ``_run_fold`` per validated fold, from scratch or from each
-    fold's pretrained encoder."""
-    ds = dataset if dataset is not None else load_dataset(cfg)
-    folds = _validated_folds(ds, cfg)
-    if fold_params is not None and len(folds) != len(fold_params):
-        raise ConfigError("adapt: fold count does not match the pretrained run")
+def _run_folds(cfg: TrainConfig, ds: Dataset, folds: list, fold_params: list = None) -> RunResult:
+    """One ``_run_fold`` per fold of ``folds`` (``_validated_folds``), from
+    scratch or from each fold's pretrained encoder."""
     start = time.perf_counter()
     results = [_run_fold(ds, split, cfg, fold,
                          None if fold_params is None else fold_params[fold].copy())
@@ -380,11 +371,11 @@ def _run_folds(cfg: TrainConfig, dataset: Dataset, fold_params: list = None) -> 
     return RunResult.aggregate(results, cfg.to_dict(), time.perf_counter() - start)
 
 
-def train_supervised(cfg: TrainConfig, dataset: Dataset = None) -> RunResult:
+def train_supervised(cfg: TrainConfig, dataset: Dataset) -> RunResult:
     """Joint encoder + classifier training with k-fold evaluation."""
     if cfg.mode != "supervised":
         raise ConfigError(f"train_supervised: mode must be 'supervised', got {cfg.mode!r}")
-    return _run_folds(cfg, dataset)
+    return _run_folds(cfg, dataset, _validated_folds(dataset, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +413,34 @@ def _pretrain_fold(ds: Dataset, split: FoldSplit, cfg: TrainConfig, fold: int):
     return params, head, curve
 
 
-def pretrain_ssl(cfg: TrainConfig, dataset: Dataset = None) -> PretrainResult:
+def _pretrain_folds(ds: Dataset, folds: list, cfg: TrainConfig) -> PretrainResult:
+    """One ``_pretrain_fold`` per fold, after checking every fold's batches
+    (unless no epoch runs): a fold that would form a batch smaller than the
+    objective takes (``OBJECTIVES``) is a ConfigError naming it."""
+    min_batch = OBJECTIVES[cfg.objective][1]
+    for fold, split in enumerate(folds):
+        smallest = min(map(len, _batch_indices(split.train_idx, cfg.batch_size, min_batch)))
+        if cfg.pretrain_epochs != 0 and smallest < min_batch:
+            raise ConfigError(f"fold {fold}: pretraining loss needs batches of at least "
+                              f"{min_batch} graphs, but batch_size {cfg.batch_size} over "
+                              f"{len(split.train_idx)} training graph(s) forms a batch of "
+                              f"{smallest}")
+    runs = [_pretrain_fold(ds, split, cfg, fold) for fold, split in enumerate(folds)]
+    fold_params, fold_heads, curves = (list(column) for column in zip(*runs))
+    return PretrainResult(fold_params, fold_heads, curves, cfg.to_dict())
+
+
+def pretrain_ssl(cfg: TrainConfig, dataset: Dataset) -> PretrainResult:
     """Label-free encoder pretraining, one encoder per fold, for
     ``cfg.pretrain_epochs`` epochs.
 
     Each fold's encoder sees only that fold's train split, so downstream
     adaptation never leaks test graphs into pretraining.
     """
-    ds = dataset if dataset is not None else load_dataset(cfg)
-    runs = [_pretrain_fold(ds, split, cfg, fold)
-            for fold, split in enumerate(stratified_folds(ds, cfg.folds, cfg.seed))]
-    fold_params, fold_heads, curves = (list(column) for column in zip(*runs))
-    return PretrainResult(fold_params, fold_heads, curves, cfg.to_dict())
+    return _pretrain_folds(dataset, stratified_folds(dataset, cfg.folds, cfg.seed), cfg)
 
 
-def adapt(pretrained: PretrainResult, cfg: TrainConfig,
-          dataset: Dataset = None) -> RunResult:
+def adapt(pretrained: PretrainResult, cfg: TrainConfig, dataset: Dataset) -> RunResult:
     """Evaluate a pretrained encoder: probe trains the classifier only,
     finetune continues training the encoder as well."""
     if pretrained is None or not pretrained.fold_params:
@@ -445,20 +448,21 @@ def adapt(pretrained: PretrainResult, cfg: TrainConfig,
     if cfg.mode not in ADAPT_MODES:
         raise ConfigError(f"adapt: mode must be one of {', '.join(ADAPT_MODES)}, "
                           f"got {cfg.mode!r}")
-    return _run_folds(cfg, dataset, pretrained.fold_params)
+    folds = _validated_folds(dataset, cfg)
+    if len(folds) != len(pretrained.fold_params):
+        raise ConfigError("adapt: fold count does not match the pretrained run")
+    return _run_folds(cfg, dataset, folds, pretrained.fold_params)
 
 
-def cross_validate(cfg: TrainConfig, dataset: Dataset = None) -> RunResult:
+def cross_validate(cfg: TrainConfig, dataset: Dataset) -> RunResult:
     """One cross-validated run of ``cfg.mode``: probe and finetune first
     pretrain each fold's encoder with ``cfg`` itself for ``pretrain_epochs``,
-    supervised trains from scratch.  The dataset is loaded at most once,
-    and the folds are checked before any pretraining."""
-    ds = dataset if dataset is not None else load_dataset(cfg)
-    if cfg.mode in ADAPT_MODES:
-        _validated_folds(ds, cfg)
-        pre = pretrain_ssl(cfg, ds)
-        return adapt(pre, cfg, ds)
-    return train_supervised(cfg, ds)
+    supervised trains from scratch.  One fold list serves pretraining and
+    adaptation, and it is checked before any pretraining."""
+    if cfg.mode not in ADAPT_MODES:
+        return train_supervised(cfg, dataset)
+    folds = _validated_folds(dataset, cfg)
+    return _run_folds(cfg, dataset, folds, _pretrain_folds(dataset, folds, cfg).fold_params)
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +498,11 @@ def sweep_configs(cfg: TrainConfig, parameter: str, values: list) -> list:
     return runs
 
 
-def ablate(cfg: TrainConfig, parameter: str, values: list,
-           dataset: Dataset = None) -> list:
+def ablate(cfg: TrainConfig, parameter: str, values: list, dataset: Dataset) -> list:
     """One full run per config of ``sweep_configs``, with shared folds and seeds, after one
     warning per tau outside ``TAU_GUIDANCE``; a bad value fails before any of it."""
     runs = sweep_configs(cfg, parameter, values)
     for run in runs:
         if parameter == "tau" and not (TAU_GUIDANCE[0] <= run.tau <= TAU_GUIDANCE[1]):
             warnings.warn(f"tau={run.tau} outside the guidance range {list(TAU_GUIDANCE)}")
-    ds = dataset if dataset is not None else load_dataset(cfg)
-    return [cross_validate(run, ds) for run in runs]
+    return [cross_validate(run, dataset) for run in runs]

@@ -20,7 +20,7 @@ from swagnn.kernel import (HiddenGraph, KernelConfig, SwagParams, encode_batch,
                            exact_rw_kernel, hidden_adjacency, smoothed_kernel,
                            swag_encode)
 from swagnn.ssl import SSLBatch, TwoLayerMLP, cosine_rows, infonce_loss, noncontrastive_loss
-from swagnn.training import (TrainConfig, ablate, adapt, pretrain_ssl,
+from swagnn.training import (TrainConfig, ablate, adapt, load_dataset, pretrain_ssl,
                              softmax_cross_entropy, train_supervised)
 
 DATA_ROOT = os.environ.get("SWAG_DATA_DIR",
@@ -208,7 +208,8 @@ _mutag_runs = {}
 
 def _mutag_supervised():
     if "supervised" not in _mutag_runs:
-        _mutag_runs["supervised"] = train_supervised(_mutag_config())
+        cfg = _mutag_config()
+        _mutag_runs["supervised"] = train_supervised(cfg, load_dataset(cfg))
     return _mutag_runs["supervised"]
 
 
@@ -226,8 +227,9 @@ def test_criterion_7_pretraining_does_not_hurt():
     supervised = _mutag_supervised()
     start = time.perf_counter()
     cfg = _mutag_config(mode="finetune", augmenter="lga", tau=2.02, pretrain_epochs=100)
-    pretrained = pretrain_ssl(cfg)
-    finetuned = adapt(pretrained, cfg)
+    ds = load_dataset(cfg)
+    pretrained = pretrain_ssl(cfg, ds)
+    finetuned = adapt(pretrained, cfg, ds)
     elapsed = time.perf_counter() - start
     assert finetuned.mean_accuracy >= supervised.mean_accuracy - 0.02
     assert elapsed <= 40 * 60
@@ -253,7 +255,7 @@ def test_criterion_8_generic_tu_pipeline_runs_end_to_end(tmp_path):
     cfg = TrainConfig(dataset="synthetic", data_dir=str(tmp_path),
                       hidden_graphs=2, hidden_nodes=4, hidden_dim=4,
                       walk_len=2, epochs=3, folds=2, seed=0)
-    result = train_supervised(cfg)
+    result = train_supervised(cfg, load_dataset(cfg))
     assert len(result.fold_accuracies) == 2
     print("criterion 8: PASS (not gated; TU-format pipeline runs end to end)")
 
@@ -265,8 +267,9 @@ def test_criterion_9_ablations_keep_training_accuracy_full():
                        batch_size=8, folds=2, seed=0)
     tau_values = [0.3, 2.02, 4.2]
     m_values = [2, 8, 24]
-    tau_results = ablate(dataclasses.replace(base, pretrain_epochs=10), "tau", tau_values)
-    m_results = ablate(base, "num_hidden", m_values)
+    ds = load_dataset(base)
+    tau_results = ablate(dataclasses.replace(base, pretrain_epochs=10), "tau", tau_values, ds)
+    m_results = ablate(base, "num_hidden", m_values, ds)
     for name, values, results in (("tau", tau_values, tau_results),
                                   ("num_hidden", m_values, m_results)):
         for value, result in zip(values, results):

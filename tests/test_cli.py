@@ -315,6 +315,21 @@ def test_probe_without_checkpoint_loads_the_dataset_once(monkeypatch):
     assert calls == ["toy"]
 
 
+def test_probe_without_checkpoint_makes_two_fold_lists(monkeypatch):
+    import swagnn.cli
+    import swagnn.training
+    original, calls = swagnn.cli.stratified_folds, []
+
+    def counted(ds, k, seed):
+        calls.append(k)
+        return original(ds, k, seed)
+    monkeypatch.setattr(swagnn.training, "stratified_folds", counted)
+    monkeypatch.setattr(swagnn.cli, "stratified_folds", counted)
+    assert run_cli("probe", *TINY, "--epochs", "1", "--pretrain-epochs", "1") == 0
+    # the LGA report's check, then the one list pretraining and the probe share
+    assert calls == [2, 2]
+
+
 def test_checkpoint_matching_config_loads(tmp_path, tiny_checkpoint):
     out = str(tmp_path / "ft")
     assert run_cli("finetune", *TINY, "--epochs", "1", "--checkpoint", tiny_checkpoint,

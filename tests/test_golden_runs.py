@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from swagnn.cli import main
-from swagnn.training import TrainConfig, ablate
+from swagnn.training import TrainConfig, ablate, load_dataset
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_runs.json")
 RELATIVE = 1e-12
@@ -181,7 +181,7 @@ def _without_digests(values):
 def _sweep(run: str) -> list:
     parameter, swept, pretrain_epochs = SWEEPS[run]
     cfg = TrainConfig(**SWEEP_CONFIG, pretrain_epochs=pretrain_epochs)
-    results = ablate(cfg, parameter, swept)
+    results = ablate(cfg, parameter, swept, load_dataset(cfg))
     records = []
     for result in results:
         record = _reported({name: value for name, value in vars(result).items()

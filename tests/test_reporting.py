@@ -27,7 +27,7 @@ def small_cfg(**kw):
 
 @pytest.fixture(scope="module")
 def toy_result():
-    return train_supervised(small_cfg())
+    return train_supervised(small_cfg(), make_toy_dataset())
 
 
 def test_result_round_trip(toy_result, tmp_path):

@@ -3,7 +3,8 @@ only numpy, the package itself and the standard library, and the project
 metadata lists numpy as its one dependency.  Every name a module of the
 package or a test file imports is also used in it, and every private name
 the package defines is read somewhere in the package, and every local a
-function of the package assigns is read in that function."""
+function of the package assigns is read in that function.  Only the CLI
+loads a dataset: every library entry point takes one from its caller."""
 
 import ast
 import os
@@ -102,6 +103,16 @@ def dead_locals(path: str) -> list:
     return sorted((line, func, name) for (line, name), func in found.items())
 
 
+def calls_of(path: str, name: str) -> list:
+    """Lines of every call in a source file to ``name``, by itself or as an
+    attribute (``training.name(...)``)."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
 SOURCES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
 
 
@@ -137,6 +148,12 @@ def test_package_reads_every_local_it_assigns():
             for name in SOURCES
             for line, func, local in dead_locals(os.path.join(PACKAGE, name))]
     assert not dead, dead
+
+
+def test_only_the_cli_loads_a_dataset():
+    loads = {name: calls_of(os.path.join(PACKAGE, name), "load_dataset") for name in SOURCES}
+    assert loads.pop("cli.py")
+    assert not any(loads.values()), loads
 
 
 def test_tests_use_every_name_they_import():
@@ -198,3 +215,12 @@ def test_a_dead_local_is_caught(tmp_path):
     assert dead_locals(str(path)) == [(5, "fold", "train_enc"), (10, "inner", "unused"),
                                       (12, "fold", "index"), (14, "fold", "total"),
                                       (15, "fold", "total")]
+
+
+def test_a_dataset_load_outside_the_cli_is_caught(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from . import training\nfrom .training import load_dataset\n\n\n"
+                    "def run(cfg, dataset=None):\n"
+                    "    dataset = dataset or load_dataset(cfg)\n"
+                    "    return training.load_dataset(cfg), load_dataset\n")
+    assert calls_of(str(path), "load_dataset") == [6, 7]

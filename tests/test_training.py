@@ -9,7 +9,7 @@ from swagnn import autodiff as ad
 from swagnn import augment as augment_module
 from swagnn.augment import LgaAugmenter, generate_sbm
 from swagnn.errors import ConfigError, TrainingError
-from swagnn.graphs import Dataset, FoldSplit, Graph, degree_features
+from swagnn.graphs import Dataset, FoldSplit, Graph, degree_features, stratified_folds
 from swagnn.kernel import KernelConfig, SwagParams
 from swagnn.training import (
     Predictor,
@@ -154,7 +154,7 @@ def test_an_unlabeled_graph_is_a_config_error():
 
 def test_supervised_toy_reaches_full_train_accuracy():
     cfg = small_cfg(epochs=120)
-    result = train_supervised(cfg)
+    result = train_supervised(cfg, make_toy_dataset())
     assert all(acc == 1.0 for acc in result.train_accuracies)
     assert result.mean_accuracy >= 0.8
     assert len(result.fold_accuracies) == 2
@@ -163,24 +163,24 @@ def test_supervised_toy_reaches_full_train_accuracy():
 
 
 def test_supervised_is_deterministic():
-    cfg = small_cfg(epochs=15)
-    a = train_supervised(cfg)
-    b = train_supervised(cfg)
+    cfg, ds = small_cfg(epochs=15), make_toy_dataset()
+    a = train_supervised(cfg, ds)
+    b = train_supervised(cfg, ds)
     assert a.fold_accuracies == b.fold_accuracies
     assert a.loss_curves == b.loss_curves
     assert a.mean_accuracy == b.mean_accuracy
-    c = train_supervised(small_cfg(epochs=15, seed=1))
+    c = train_supervised(small_cfg(epochs=15, seed=1), ds)
     assert c.config["seed"] == 1
 
 
 def test_supervised_mode_check():
     with pytest.raises(ConfigError):
-        train_supervised(small_cfg(epochs=1, mode="finetune"))
+        train_supervised(small_cfg(epochs=1, mode="finetune"), make_toy_dataset())
 
 
 def test_result_statistics_recompute():
     cfg = small_cfg(epochs=10)
-    result = train_supervised(cfg)
+    result = train_supervised(cfg, make_toy_dataset())
     assert abs(result.mean_accuracy - np.mean(result.fold_accuracies)) < 1e-12
     assert abs(result.std_accuracy - np.std(result.fold_accuracies)) < 1e-12
 
@@ -213,18 +213,12 @@ def test_empty_validation_split_is_a_config_error():
         train_supervised(small_cfg(epochs=1), dataset=ds)
 
 
-def test_empty_validation_split_fails_before_pretraining(monkeypatch):
+def test_empty_validation_split_fails_before_pretraining(optimizers):
     ds = Dataset(make_toy_dataset().graphs[2:6], 2, 1, "toy")
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return pretrain_ssl(*args, **kwargs)
-
-    monkeypatch.setattr(swagnn.training, "pretrain_ssl", counted)
     with pytest.raises(ConfigError, match="fold 0 of 2 has no validation graph"):
         cross_validate(small_cfg(mode="probe", augmenter="identity", epochs=1), dataset=ds)
-    assert calls == []
+    # no fold pretrained: no optimizer was built
+    assert optimizers == []
 
 
 def test_checkpoint_prefers_earliest_best_epoch():
@@ -408,14 +402,18 @@ def sbm_dataset(count, classes=2):
                          "batch_size 1 over 4 training graph(s) forms a batch of 1"),
     (sbm_dataset(2, classes=1), 64, "fold 0: pretraining loss needs batches of at least 2 "
                                     "graphs, but batch_size 64 over 1 training graph(s) forms "
-                                    "a batch of 1")], ids=["batch-size-1", "one-graph-folds"])
+                                    "a batch of 1"),
+    # fold 0's two training graphs form one batch, fold 1's four a batch of one
+    (sbm_dataset(10), 1, "fold 1: pretraining loss needs batches of at least 2 graphs, but "
+                         "batch_size 1 over 4 training graph(s) forms a batch of 1")],
+    ids=["batch-size-1", "one-graph-folds", "second-fold"])
 def test_infonce_without_a_two_graph_batch_stops_before_the_first_step(
         ds, batch_size, message, optimizers):
     cfg = small_cfg(mode="pretrain", augmenter="edge-drop", epochs=2, batch_size=batch_size)
     with pytest.raises(ConfigError, match=re.escape(message)):
         pretrain_ssl(cfg, ds)
-    # the fold's optimizer was built but never stepped
-    assert len(optimizers) == 1 and optimizers[0].t == 0
+    # every fold is checked before any fold trains: no optimizer was built
+    assert optimizers == []
     # with no epoch to run there is no batch to form
     assert pretrain_ssl(dataclasses.replace(cfg, pretrain_epochs=0), ds).loss_curves == [[], []]
 
@@ -584,9 +582,8 @@ def test_ablate_checks_every_value_before_the_first_run(monkeypatch, recwarn, pa
                                                         values):
     calls = []
     monkeypatch.setattr(swagnn.training, "cross_validate", lambda *args: calls.append(args))
-    monkeypatch.setattr(swagnn.training, "load_dataset", lambda *args: calls.append(args))
     with pytest.raises(ConfigError):
-        ablate(small_cfg(epochs=1), parameter, values)
+        ablate(small_cfg(epochs=1), parameter, values, make_toy_dataset())
     assert calls == []
     assert len(recwarn) == 0  # nor is tau=10.0 warned about
 
@@ -604,6 +601,32 @@ def test_pretrain_epochs_field_sets_the_pretraining_budget():
     assert [r.config["pretrain_epochs"] for r in ablate(untrained, "num_hidden", [2], ds)] == [0]
     with pytest.raises(ConfigError, match="pretrain_epochs must be >= 0, got -1"):
         small_cfg(pretrain_epochs=-1)
+
+
+@pytest.fixture
+def fold_lists(monkeypatch):
+    """The fold count of every ``stratified_folds`` call, in order."""
+    made = []
+
+    def counted(ds, k, seed):
+        made.append(k)
+        return stratified_folds(ds, k, seed)
+    monkeypatch.setattr(swagnn.training, "stratified_folds", counted)
+    return made
+
+
+def test_a_run_makes_its_fold_list_once(fold_lists):
+    ds = make_toy_dataset()
+    cfg = small_cfg(epochs=1, mode="probe", augmenter="identity", pretrain_epochs=1)
+    cross_validate(cfg, ds)
+    assert fold_lists == [2]
+    ablate(cfg, "tau", [0.5, 2.02], ds)
+    assert fold_lists == [2] * 3
+    # and so does each public step
+    fold_lists.clear()
+    train_supervised(dataclasses.replace(cfg, mode="supervised"), ds)
+    adapt(pretrain_ssl(cfg, ds), cfg, ds)
+    assert fold_lists == [2] * 3
 
 
 def test_ablate_rejects_unknown_parameter():
