@@ -17,7 +17,7 @@ import sys
 
 from .augment import rank0_certified
 from .errors import ConfigError, SwagError
-from .graphs import Dataset, stratified_folds
+from .graphs import Dataset, make_output_dir, stratified_folds
 from .reporting import (ablation_csv, augment_dataset, augment_out, export_hidden_graphs,
                         fold_csv, load_checkpoint, load_result, save_checkpoint,
                         save_result, summarize)
@@ -66,16 +66,6 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
-def _make_out(path: str):
-    """Create the output directory ``path``, if one is given, so that a
-    path that cannot be a directory fails before any work is done."""
-    if path:
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
-
-
 def _save_run(result, cfg: TrainConfig):
     if not cfg.out:
         return
@@ -89,11 +79,13 @@ def _save_run(result, cfg: TrainConfig):
 
 
 def _prepare(cfg: TrainConfig, runs: list) -> Dataset:
-    """Create ``cfg.out`` and load the dataset once for ``runs``.  For each
+    """Create ``cfg.out``, so that a path that cannot be a directory fails
+    before any work, and load the dataset once for ``runs``.  For each
     distinct tau at which a run pretrains with LGA, check that the folds split
     the dataset and report its rank-0 share (``_report_rank0``).  ``augment``
     passes no run: it needs no folds, and reports after it has written."""
-    _make_out(cfg.out)
+    if cfg.out:
+        make_output_dir(cfg.out)
     dataset = load_dataset(cfg)
     taus = dict.fromkeys(run.tau for run in runs if run.augmenter == "lga"
                          and run.mode != "supervised" and run.pretrain_epochs != 0)
@@ -180,7 +172,6 @@ def cmd_export_hidden(args) -> int:
     if not (0 <= args.fold < len(fold_params)):
         raise ConfigError(f"--fold {args.fold} out of range "
                           f"(checkpoint has {len(fold_params)} folds)")
-    _make_out(args.out)
     written = export_hidden_graphs(fold_params[args.fold],
                                    threshold=args.threshold, out=args.out)
     print(f"wrote {len(written)} files to {args.out}")

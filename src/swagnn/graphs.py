@@ -418,6 +418,16 @@ def _node_features(paths, num_nodes, adjacencies, starts):
     return [a.sum(axis=1, keepdims=True) for a in adjacencies]
 
 
+def make_output_dir(path: str):
+    """Create the directory ``path`` and any missing parents.  A path that
+    cannot be a directory (a file, or a path below one) raises ConfigError
+    naming it, not a bare OSError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def write_tu_dataset(graphs: list, directory: str, name: str):
     """Write graphs out as the TU dataset ``name`` (canonical edge order).
 
@@ -427,7 +437,7 @@ def write_tu_dataset(graphs: list, directory: str, name: str):
     integer features print as ``1.0`` and ``-0.0`` keeps its sign.  The
     graphs are written as given: a ``Dataset`` checks them when it is built.
     """
-    os.makedirs(directory, exist_ok=True)
+    make_output_dir(directory)
     offsets = np.cumsum([1] + [g.n for g in graphs])
     # argwhere lists entries row-major, which is the canonical order
     edges = np.concatenate([np.argwhere(g.adjacency) + offset

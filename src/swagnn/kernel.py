@@ -19,10 +19,13 @@ checked against.
 
 With X~ = [X 1] and W~ = [W; b^T] (the feature map as one matrix) the
 kernel factors as <X~^T B^p X~, W~ F^T B'^p F W~^T>.  The forward does not
-use this (its rounding is pinned to the node-level products), but the
-backward does: it differentiates through each graph's (d+1) x (d+1) walk
-statistics, so ``encode_batch`` keeps nothing sized by the node count
-between the forward and the backward.  Like the diffusion, the walk
+use this (its rounding is pinned to the node-level products); it saves
+numpy calls instead, running each graph's P walk lengths as stacked
+products in one scratch buffer per call, with the bits of one walk length
+at a time.  The backward does use the factored form: it differentiates
+through each graph's (d+1) x (d+1) walk statistics, so ``encode_batch``
+keeps nothing sized by the node count between the forward and the
+backward.  Like the diffusion, the walk
 statistics depend on the graph alone and are computed once per graph and
 cached with it, so a graph seen in many batches, epochs or folds pays for
 them once.
@@ -246,6 +249,18 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.
     a 0/1 ``group`` matmul, whose rounding the encodings are pinned to.
     Graphs run one at a time, so no array spans the batch's nodes.  Returns
     the len(graphs) x M*P encodings, hidden-graph-major, walk-length-minor.
+
+    At molecule size a numpy call's overhead, not its arithmetic, sets its
+    cost, so each graph handles all P walk lengths in one call per stage:
+    one stacked matmul for Xm (B'^p F)^T, one for the ``group`` sums and
+    one row reduction.  A stacked matmul runs one BLAS product per walk
+    length with the operands, shapes and layouts of a single product, and
+    the reduction adds rows in the order ``sum(axis=0)`` does, so every bit
+    is that of one walk length at a time.  The P x n x M*m products share
+    one buffer per call, sized by the largest graph once every graph's
+    shapes are checked: a fresh array per graph is large enough that the
+    allocator maps and unmaps it each time, which costs more than the
+    saved calls.
     """
     if not graphs:
         raise ContractError("encode_batch: empty batch")
@@ -255,20 +270,24 @@ def _encoder_forward(graphs: list, params: SwagParams, cfg: KernelConfig) -> np.
     walks = _hidden_walks(params.raw.data, params.features.data, P)[1]
     right = np.ascontiguousarray(walks.transpose(0, 3, 1, 2)).reshape(P, -1, M * m)
     group = np.repeat(np.eye(M), m, axis=0)  # 1 where row i*m..(i+1)*m meets column i
-    out = np.empty((len(graphs), M * P))
     for gi, g in enumerate(graphs):
         if g.adjacency.shape != (g.n, g.n) or g.features.shape != (g.n, len(weight)):
             raise ContractError(f"encode_batch: graph {gi} of the batch has adjacency shape "
                                 f"{g.adjacency.shape} and features shape {g.features.shape}, "
                                 f"expected ({g.n}, {g.n}) and ({g.n}, {len(weight)})")
+    buf = np.empty((P, max(g.n for g in graphs), M * m))
+    out = np.empty((len(graphs), M, P))
+    for gi, g in enumerate(graphs):
         b = diffuse(g, cfg.diffusion)
         xm = g.features @ weight + bias
+        prod = np.matmul(xm, right, out=buf[:, :g.n])  # Xm (B'^p F)^T for every p
         left = b @ (xm @ feats.T)  # B^p S for p = q + 1
         for q in range(P):
-            out[gi, q::P] = ((left * (xm @ right[q])) @ group).sum(axis=0)
+            np.multiply(left, prod[q], out=prod[q])
             if q + 1 < P:
                 left = b @ left
-    return out
+        np.add.reduce(prod @ group, axis=1, out=out[gi].T)
+    return out.reshape(len(graphs), M * P)
 
 
 def _walk_statistics(graphs: list, cfg: KernelConfig) -> np.ndarray:

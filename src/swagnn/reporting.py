@@ -16,7 +16,7 @@ import zipfile
 import numpy as np
 
 from .errors import ConfigError, ContractError, LoadError
-from .graphs import Dataset, write_tu_dataset
+from .graphs import Dataset, make_output_dir, write_tu_dataset
 from .kernel import SwagParams, hidden_adjacencies
 from .ssl import TwoLayerMLP
 from .training import ENCODER_FIELDS, RunResult, TrainConfig
@@ -206,7 +206,7 @@ def load_checkpoint(path: str, expect: TrainConfig = None):
 def export_hidden_graphs(params: SwagParams, threshold: float, out: str) -> list:
     """For every hidden graph, write its effective adjacency as JSON and a
     DOT file keeping edges with weight >= threshold.  Returns the paths."""
-    os.makedirs(out, exist_ok=True)
+    make_output_dir(out)
     written = []
     for i, weights in enumerate(hidden_adjacencies(params.raw.data)):
         m = weights.shape[0]

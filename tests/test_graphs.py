@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -408,6 +409,17 @@ def test_write_tu_empty_dataset(tmp_path):
     write_tu_dataset([], str(tmp_path), "EMPTY")
     for key in ("A", "graph_indicator", "graph_labels", "node_attributes"):
         assert (tmp_path / f"EMPTY_{key}.txt").read_bytes() == b""
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_write_tu_to_a_directory_that_cannot_exist(tmp_path, below):
+    # a bare NotADirectoryError or FileExistsError before
+    afile = tmp_path / "afile"
+    afile.write_text("a file, not a directory\n")
+    out = str(afile / "sub") if below else str(afile)
+    with pytest.raises(ConfigError, match=f"^cannot create output directory {re.escape(out)}: "):
+        write_tu_dataset([], out, "X")
+    assert afile.read_text() == "a file, not a directory\n"
 
 
 def test_load_is_deterministic(tmp_path):

@@ -275,13 +275,18 @@ def test_encode_single_node_zero_features():
 
 def test_encode_batch_matches_single(seed=4):
     # each row is computed from its own graph alone: the batch around it, its
-    # position and the other graphs' sizes change no bit of it
+    # position and the other graphs' sizes change no bit of it.  With one
+    # hidden graph the row sums run along numpy's inner axis, pairwise from 8
+    # rows on, and the 120-node graph sets the walk-length stride of the
+    # forward's buffer for every other row of the batch.
     rng = np.random.default_rng(seed)
     for cfg in (KernelConfig(num_hidden=3, hidden_nodes=3, hidden_dim=2, max_walk=2),
-                KernelConfig()):
+                KernelConfig(),
+                KernelConfig(num_hidden=1, hidden_nodes=2, hidden_dim=1, max_walk=1)):
         params = make_params(rng, cfg, 2)
         graphs = ([random_graph(rng, int(rng.integers(2, 7))) for _ in range(6)]
-                  + [random_graph(rng, 1), random_graph(rng, 28), random_graph(rng, 5)])
+                  + [random_graph(rng, 1), random_graph(rng, 28), random_graph(rng, 5),
+                     random_graph(rng, 120)])
         batch = encode_batch(graphs, params, cfg).data
         assert np.array_equal(batch, encode_numpy(graphs, params, cfg))
         order = rng.permutation(len(graphs))
@@ -644,13 +649,15 @@ def test_encode_batch_rejects_empty_batch_and_wrong_features():
         encode_numpy([random_graph(np.random.default_rng(0), 3, d=5)], params, cfg)
     # arrays that disagree with n ended in a bare numpy ValueError from matmul
     good = random_graph(np.random.default_rng(1), 3)
-    bad = [Graph(3, good.adjacency, np.ones((2, 2))), Graph(3, np.zeros((2, 2)), good.features)]
+    bad = [Graph(3, good.adjacency, np.ones((2, 2))), Graph(3, np.zeros((2, 2)), good.features),
+           # every graph's shapes are checked before n sizes the forward's buffer
+           Graph(10**12, np.zeros((2, 2)), np.ones((2, 2)))]
     for g in bad:
         for encode in (encode_batch, encode_numpy):
             with pytest.raises(ContractError) as exc:
                 encode([good, g], params, cfg)
             assert (f"graph 1 of the batch has adjacency shape {g.adjacency.shape} and "
-                    f"features shape {g.features.shape}, expected (3, 3) and (3, 2)"
+                    f"features shape {g.features.shape}, expected ({g.n}, {g.n}) and ({g.n}, 2)"
                     ) in str(exc.value)
     # a dataset rejects such a graph where it enters, before any training
     with pytest.raises(ContractError, match="graph 6 has 3 nodes, adjacency shape \\(3, 3\\) and "

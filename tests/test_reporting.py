@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,27 @@ def test_export_respects_threshold(tmp_path):
         assert fh.read().count(" -- ") == 4 * 3 // 2
     with open(os.path.join(out_none, "hidden_0.dot")) as fh:
         assert fh.read().count(" -- ") == 0
+
+
+@pytest.fixture
+def afile(tmp_path):
+    path = tmp_path / "afile"
+    path.write_text("a file, not a directory\n")
+    return str(path)
+
+
+def test_export_hidden_graphs_to_a_file(afile):
+    # a bare FileExistsError before
+    params = SwagParams.init(KernelConfig(num_hidden=1, hidden_nodes=2), input_dim=2,
+                             rng=np.random.default_rng(0))
+    with pytest.raises(ConfigError, match=f"^cannot create output directory {re.escape(afile)}: "):
+        export_hidden_graphs(params, 0.5, afile)
+
+
+def test_augment_dataset_to_a_file(afile):
+    # a bare FileExistsError before
+    with pytest.raises(ConfigError, match=f"^cannot create output directory {re.escape(afile)}: "):
+        augment_dataset(small_cfg(augmenter="identity"), make_toy_dataset(), out=afile)
 
 
 def edge_set(g):
